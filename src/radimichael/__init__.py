@@ -38,6 +38,8 @@ from .construct import (
     theorem2_search,
     verify_certificate,
 )
+# `survey` itself is not re-exported, so `radimichael.survey` stays the
+# submodule; call it as `from radimichael.survey import survey`.
 from .survey import (
     MemoryBudgetError,
     SpfTable,
@@ -45,8 +47,6 @@ from .survey import (
     build_spf,
     report_parse,
     report_write,
-    sieve_spf,
-    survey,
 )
 
 __version__ = "0.1.0"

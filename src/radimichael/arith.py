@@ -11,19 +11,12 @@ U64_LIMIT = 1 << 64
 # Trial-division ceiling for factorize(); cofactors surviving the table go to Pollard-Brent.
 TRIAL_LIMIT = 10**6
 
-DEFAULT_PROBABLE_ROUNDS = 30
-
-_default_seed = 0
+# Strong-probable-prime rounds for n >= 2**64, on bases fixed by n alone.
+PROBABLE_ROUNDS = 30
 
 
 class FactorRangeError(ValueError):
     """factorize() only accepts inputs below 2**64."""
-
-
-def set_probable_prime_seed(seed: int) -> None:
-    """Set the seed used to derive probable-prime witnesses for n >= 2**64."""
-    global _default_seed
-    _default_seed = int(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +124,15 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def prime_verdict(n: int, *, rounds: int = DEFAULT_PROBABLE_ROUNDS,
-                  seed: int | None = None) -> PrimalityResult:
+def prime_verdict(n: int) -> PrimalityResult:
     """Classify n as prime/composite.
 
     Below 2**64 the answer is exact (deterministic Miller-Rabin witness
     tiers). At or above 2**64 a prime verdict is strong-probable-prime
-    (`rounds` seeded random bases plus a strong Lucas check) and is flagged
-    `probable`; composite verdicts are certain either way.
+    (PROBABLE_ROUNDS pseudo-random bases derived from n alone, plus a strong
+    Lucas check) and is flagged `probable`; composite verdicts are certain
+    either way. The bases depend on nothing but n, so any verifier
+    reproduces the producer's verdict exactly.
     """
     if n < 2:
         return PrimalityResult(False, False)
@@ -158,12 +152,12 @@ def prime_verdict(n: int, *, rounds: int = DEFAULT_PROBABLE_ROUNDS,
         return PrimalityResult(True, False)
 
     # n >= 2**64: probable-prime policy
-    if seed is None:
-        seed = _default_seed
     if not _strong_probable_prime(n, 2):
         return PrimalityResult(False, False)
-    rng = random.Random(f"spp:{seed}:{n % (1 << 128)}:{n.bit_length()}")
-    for _ in range(max(rounds, DEFAULT_PROBABLE_ROUNDS)):
+    # keyed by n alone; the fixed "0" keeps the bases that existing
+    # certificates were produced with
+    rng = random.Random(f"spp:0:{n % (1 << 128)}:{n.bit_length()}")
+    for _ in range(PROBABLE_ROUNDS):
         a = rng.randrange(2, n - 1)
         if not _strong_probable_prime(n, a):
             return PrimalityResult(False, False)

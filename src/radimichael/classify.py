@@ -7,6 +7,7 @@ encoded here as an int, or None when no such k exists (n not radimichael).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .arith import (
     Factorization,
@@ -73,23 +74,28 @@ def is_radimichael(n: int, f: Factorization) -> bool:
     return (n - 1) % k == 0
 
 
-def lehmer_index(n: int, f: Factorization) -> int | None:
-    """Minimal k with phi(n) | (n-1)^k, or None if no k works.
+def lehmer_index_from_factors(phi_factors: Iterable[tuple[int, int]],
+                              n_minus_1: int) -> int | None:
+    """Minimal k with phi | (n-1)^k, given phi's prime-power pairs (q, e).
 
-    Computed by prime valuations: phi | (n-1)^k iff for every prime q | phi,
-    k * v_q(n-1) >= v_q(phi); minimality makes k the max of the ceilings.
-    The test suite pins this formula against the is_k_lehmer big-integer
-    oracle.
+    phi | (n-1)^k iff k * v_q(n-1) >= e for every pair; minimality makes k
+    the max of the ceilings, and a q not dividing n-1 means no k works
+    (None). The test suite pins this formula against the is_k_lehmer
+    big-integer oracle.
     """
-    _check_composite(n, f)
-    phi = euler_phi(f)
     k = 1
-    for q, e in factorize(phi).factors:
-        t = valuation(q, n - 1)
+    for q, e in phi_factors:
+        t = valuation(q, n_minus_1)
         if t == 0:
             return None
         k = max(k, -(-e // t))
     return k
+
+
+def lehmer_index(n: int, f: Factorization) -> int | None:
+    """Minimal k with phi(n) | (n-1)^k, or None if no k works."""
+    _check_composite(n, f)
+    return lehmer_index_from_factors(factorize(euler_phi(f)).factors, n - 1)
 
 
 def is_k_lehmer(n: int, k: int, f: Factorization | None = None) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import arith, construct
 from .classify import classify
@@ -26,23 +25,11 @@ from .survey import (
 MEMORY_BUDGET_ENV = "RADIMICHAEL_MEMORY_BUDGET"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Process-wide knobs resolved from flags and environment."""
-    workers: int
-    memory_budget: int | None
-    seed: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        budget = None
-        raw = os.environ.get(MEMORY_BUDGET_ENV)
-        if raw:
-            budget = int(raw)
-        workers = getattr(args, "workers", 1)
-        if workers < 1:
-            raise ValueError("--workers must be >= 1")
-        return cls(workers=workers, memory_budget=budget, seed=args.seed)
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _open_output(path: str | None):
@@ -51,7 +38,7 @@ def _open_output(path: str | None):
     return open(path, "w", encoding="utf-8"), True
 
 
-def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1 or n >= arith.U64_LIMIT:
         raise ValueError(f"classify accepts 1 <= n < 2**64, got {n}")
@@ -66,14 +53,15 @@ def _cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_survey(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_survey(args: argparse.Namespace) -> int:
+    budget = os.environ.get(MEMORY_BUDGET_ENV)
     report = survey(
         args.limit,
         args.k_max,
-        workers=cfg.workers,
+        workers=args.workers,
         segment_size=args.segment_size,
         checkpoints=args.checkpoint or None,
-        memory_budget=cfg.memory_budget,
+        memory_budget=int(budget) if budget else None,
     )
     data = report_write(report, args.format)
     if args.output is None or args.output == "-":
@@ -107,25 +95,25 @@ def _emit_certificates(certs, diagnostics, args, label: str) -> int:
     return 0
 
 
-def _cmd_construct(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_construct(args: argparse.Namespace) -> int:
     spec = construct.TupleSpec(a=args.a, b=args.b, s=args.s, m=args.m,
                                n_min=args.n_min, n_max=args.n_max)
     certs = construct.search_radimichael(spec, all_subsets=args.all_subsets,
-                                         workers=cfg.workers)
+                                         workers=args.workers)
     return _emit_certificates(certs, (), args, "construct")
 
 
-def _cmd_theorem2(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_theorem2(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_min > args.n_max:
         raise ValueError(f"empty n range [{args.n_min}, {args.n_max}]")
     diagnostics: list = []
     certs = construct.theorem2_search(
         args.a, args.k, args.s, range(args.n_min, args.n_max + 1),
-        b=args.b, workers=cfg.workers, diagnostics=diagnostics)
+        b=args.b, workers=args.workers, diagnostics=diagnostics)
     return _emit_certificates(certs, diagnostics, args, "theorem2")
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         certs = construct.read_certificates(fh)
     if not certs:
@@ -145,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="radimichael",
         description="Carmichael / radimichael / k-Lehmer toolkit",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for probable-prime witnesses above 2**64")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one integer")
@@ -157,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument("--checkpoint", type=int, action="append",
                    help="custom checkpoint (repeatable; default powers of 10)")
@@ -173,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--all-subsets", action="store_true",
                    help="certify every size-m selection, not just the smallest")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_construct)
 
@@ -186,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window shift; the window is exponents b..b+s")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_theorem2)
 
@@ -201,9 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        arith.set_probable_prime_seed(cfg.seed)
-        return args.func(args, cfg)
+        return args.func(args)
     except MemoryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

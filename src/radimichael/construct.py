@@ -23,9 +23,8 @@ from .arith import (
     factorize,
     prime_verdict,
     radical,
-    valuation,
 )
-from .classify import is_carmichael, is_k_lehmer
+from .classify import is_carmichael, is_k_lehmer, lehmer_index_from_factors
 
 log = logging.getLogger(__name__)
 
@@ -71,10 +70,14 @@ class TupleSpec:
 
 @dataclass(frozen=True)
 class TupleHit:
-    """Primes found in one scanned tuple: (exponent, prime) pairs, ascending."""
+    """Primes found in one scanned tuple: (exponent, prime) pairs, ascending.
+
+    probable[i] is the `probable` bit of the primality verdict for hits[i].
+    """
     spec: TupleSpec
     n: int
     hits: tuple[tuple[int, int], ...]
+    probable: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -109,29 +112,15 @@ def scan_tuple(spec: TupleSpec, n: int) -> TupleHit:
         raise ValueError(f"n={n} outside [{spec.n_min}, {spec.n_max}]")
     lo, hi = spec.window
     found = []
+    probable = []
     value = spec.a**lo * n
     for l in range(lo, hi + 1):
-        if prime_verdict(value + 1).is_prime:
+        verdict = prime_verdict(value + 1)
+        if verdict.is_prime:
             found.append((l, value + 1))
+            probable.append(verdict.probable)
         value *= spec.a
-    return TupleHit(spec, n, tuple(found))
-
-
-def _certificate_index(a: int, n: int, m: int, exp_sum: int, big_n: int) -> int | None:
-    # phi(N) = a^exp_sum * n^m with each selected exponent >= 1; its prime
-    # valuations come from factoring a and n only.
-    vq: dict[int, int] = {}
-    for q, e in factorize(a).factors:
-        vq[q] = e * exp_sum
-    for q, e in factorize(n).factors:
-        vq[q] = vq.get(q, 0) + e * m
-    k = 1
-    for q, e in vq.items():
-        t = valuation(q, big_n - 1)
-        if t == 0:
-            return None
-        k = max(k, -(-e // t))
-    return k
+    return TupleHit(spec, n, tuple(found), tuple(probable))
 
 
 def build_radimichael(hit: TupleHit, m: int,
@@ -142,7 +131,9 @@ def build_radimichael(hit: TupleHit, m: int,
     selectable: the certificate identities need every p_i - 1 divisible by
     a*n). Pass `subset` (exponents) to certify a specific selection. The
     certificate is re-verified before being returned; a failure raises
-    CertificateViolationError rather than emitting a bad record.
+    CertificateViolationError rather than emitting a bad record. The
+    probable-prime flag comes from the scan's verdicts; only the self-check
+    tests primality again.
     """
     spec = hit.spec
     usable = [(l, p) for l, p in hit.hits if l >= 1]
@@ -168,6 +159,12 @@ def build_radimichael(hit: TupleHit, m: int,
             raise CertificateViolationError(f"hit entry {p} != {a}^{l}*{n}+1")
     big_n = prod(primes)
     modulus = a ** exponents[1] * n
+    # phi(N) = a^sum(l_i) * n^m with every l_i >= 1, so its prime valuations
+    # come from factoring a and n only, and rad(phi(N)) = rad(a*n)
+    phi_vals = {q: e * sum(exponents) for q, e in factorize(a).factors}
+    for q, e in factorize(n).factors:
+        phi_vals[q] = phi_vals.get(q, 0) + e * m
+    probable = dict(zip(hit.hits, hit.probable))
 
     cert = RadimichaelCertificate(
         a=a,
@@ -176,12 +173,12 @@ def build_radimichael(hit: TupleHit, m: int,
         exponents=exponents,
         primes=primes,
         N=big_n,
-        kappa_N=radical(factorize(a * n)),
-        lehmer_index=_certificate_index(a, n, m, sum(exponents), big_n),
+        kappa_N=prod(phi_vals),
+        lehmer_index=lehmer_index_from_factors(phi_vals.items(), big_n - 1),
         non_carmichael_modulus=modulus,
         non_carmichael_residue=big_n % modulus,
         sufficient_condition_held=sum(l - b for l in exponents) < b,
-        probable_prime_flag=any(prime_verdict(p).probable for p in primes),
+        probable_prime_flag=any(probable[h] for h in chosen),
         gcd_a_n=gcd(a, n),
     )
     if not verify_certificate(cert):
@@ -362,11 +359,31 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
 # certificate wire format: one JSON object per line, integers in decimal
 # ---------------------------------------------------------------------------
 
-_CERT_FIELDS = (
-    "a", "b", "n", "exponents", "primes", "N", "kappa_N", "lehmer_index",
-    "non_carmichael_modulus", "non_carmichael_residue",
-    "sufficient_condition_held", "probable_prime_flag", "gcd_a_n",
-)
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON integers only: bools and floats fail
+
+
+def _is_ints(value) -> bool:
+    return type(value) is list and all(map(_is_int, value))
+
+
+def _is_bool(value) -> bool:
+    return type(value) is bool
+
+
+def _is_index(value) -> bool:
+    return value is None or _is_int(value)
+
+
+# wire fields in serialization order, each with the only JSON type it takes
+_CERT_FIELDS = {
+    "a": _is_int, "b": _is_int, "n": _is_int,
+    "exponents": _is_ints, "primes": _is_ints,
+    "N": _is_int, "kappa_N": _is_int, "lehmer_index": _is_index,
+    "non_carmichael_modulus": _is_int, "non_carmichael_residue": _is_int,
+    "sufficient_condition_held": _is_bool, "probable_prime_flag": _is_bool,
+    "gcd_a_n": _is_int,
+}
 
 
 def certificate_to_line(cert: RadimichaelCertificate) -> str:
@@ -377,7 +394,12 @@ def certificate_to_line(cert: RadimichaelCertificate) -> str:
 
 
 def certificate_from_line(line: str) -> RadimichaelCertificate:
-    """Parse one serialized certificate; malformed input raises ValueError."""
+    """Parse one serialized certificate; malformed input raises ValueError.
+
+    Only what certificate_to_line writes is accepted: exactly the wire
+    fields, each with its own JSON type (no numeric strings, floats, or
+    0/1 for booleans).
+    """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -387,25 +409,15 @@ def certificate_from_line(line: str) -> RadimichaelCertificate:
     missing = [name for name in _CERT_FIELDS if name not in record]
     if missing:
         raise ValueError(f"certificate record missing fields: {missing}")
-    try:
-        return RadimichaelCertificate(
-            a=int(record["a"]),
-            b=int(record["b"]),
-            n=int(record["n"]),
-            exponents=tuple(int(x) for x in record["exponents"]),
-            primes=tuple(int(x) for x in record["primes"]),
-            N=int(record["N"]),
-            kappa_N=int(record["kappa_N"]),
-            lehmer_index=(None if record["lehmer_index"] is None
-                          else int(record["lehmer_index"])),
-            non_carmichael_modulus=int(record["non_carmichael_modulus"]),
-            non_carmichael_residue=int(record["non_carmichael_residue"]),
-            sufficient_condition_held=bool(record["sufficient_condition_held"]),
-            probable_prime_flag=bool(record["probable_prime_flag"]),
-            gcd_a_n=int(record["gcd_a_n"]),
-        )
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"bad certificate field: {exc}") from exc
+    unknown = sorted(set(record) - set(_CERT_FIELDS))
+    if unknown:
+        raise ValueError(f"certificate record has unknown fields: {unknown}")
+    bad = [name for name, ok in _CERT_FIELDS.items() if not ok(record[name])]
+    if bad:
+        raise ValueError(f"certificate fields of the wrong JSON type: {bad}")
+    record["exponents"] = tuple(record["exponents"])
+    record["primes"] = tuple(record["primes"])
+    return RadimichaelCertificate(**record)
 
 
 def write_certificates(certs: Iterable[RadimichaelCertificate],

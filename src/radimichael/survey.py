@@ -18,12 +18,12 @@ from math import isqrt
 import numpy as np
 
 from .arith import Factorization, prime_table
+from .classify import lehmer_index_from_factors
 
 DEFAULT_SEGMENT_SIZE = 1 << 22      # table entries per sieve/classify segment
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes; table is 4 bytes per integer
 DEFAULT_K_MAX = 8
 SURVEY_LIMIT = 10**8                # desk-scale cap
-SIEVE_LIMIT = 10**9
 
 # transient numpy scratch per segment entry (masks, index arrays)
 _SCRATCH_BYTES_PER_ENTRY = 24
@@ -39,29 +39,26 @@ class MemoryBudgetError(RuntimeError):
 
 @dataclass
 class SpfTable:
-    """Smallest prime factor of base+i at entries[i]; entry == n iff n prime.
+    """Smallest prime factor of n at entries[n]; entry == n iff n prime.
 
     Entries for 0 and 1 are sentinels equal to themselves.
     """
-    base: int
     entries: np.ndarray
 
     @property
     def limit(self) -> int:
-        return self.base + len(self.entries) - 1
+        return len(self.entries) - 1
 
     def spf(self, n: int) -> int:
-        if not self.base <= n <= self.limit:
-            raise ValueError(f"{n} outside table range [{self.base}, {self.limit}]")
-        return int(self.entries[n - self.base])
+        if not 0 <= n <= self.limit:
+            raise ValueError(f"{n} outside table range [0, {self.limit}]")
+        return int(self.entries[n])
 
     def is_prime(self, n: int) -> bool:
         return n >= 2 and self.spf(n) == n
 
     def factorize(self, n: int) -> Factorization:
-        """Factor n by chasing smallest prime factors (full tables only)."""
-        if self.base != 0:
-            raise ValueError("factorize needs a table based at 0")
+        """Factor n by chasing smallest prime factors."""
         if n < 1 or n > self.limit:
             raise ValueError(f"{n} outside table range")
         entries = self.entries
@@ -100,25 +97,17 @@ def _sieve_into(entries: np.ndarray, lo: int) -> None:
     entries[idx] = (idx + lo).astype(entries.dtype)
 
 
-def sieve_spf(lo: int, hi: int, *, memory_budget: int | None = None) -> SpfTable:
-    """Smallest-prime-factor table for [lo, hi], 0 <= lo <= hi <= 10**9."""
-    if not 0 <= lo <= hi <= SIEVE_LIMIT:
-        raise ValueError(f"need 0 <= lo <= hi <= {SIEVE_LIMIT}")
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    width = hi - lo + 1
-    if width * (4 + _SCRATCH_BYTES_PER_ENTRY) > budget:
-        raise MemoryBudgetError(
-            f"segment [{lo}, {hi}] needs ~{width * 28} bytes, budget is {budget}")
-    entries = np.zeros(width, dtype=np.uint32)
-    _sieve_into(entries, lo)
-    return SpfTable(lo, entries)
+def _check_segment_size(segment_size: int) -> None:
+    if segment_size < 1:
+        raise ValueError(f"segment size must be >= 1, got {segment_size}")
 
 
 def build_spf(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
               memory_budget: int | None = None) -> SpfTable:
     """Full table for [0, limit], sieved segment by segment."""
-    if limit < 1 or limit > SIEVE_LIMIT:
-        raise ValueError(f"need 1 <= limit <= {SIEVE_LIMIT}")
+    if limit < 1 or limit > SURVEY_LIMIT:
+        raise ValueError(f"need 1 <= limit <= {SURVEY_LIMIT}")
+    _check_segment_size(segment_size)
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     width = limit + 1
     scratch = min(width, segment_size) * _SCRATCH_BYTES_PER_ENTRY
@@ -130,7 +119,7 @@ def build_spf(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     for lo in range(0, width, segment_size):
         hi = min(lo + segment_size - 1, limit)
         _sieve_into(entries[lo:hi + 1], lo)
-    return SpfTable(0, entries)
+    return SpfTable(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +160,19 @@ def default_checkpoints(limit: int) -> list[int]:
     return points
 
 
+def _zero_counts(buckets: int, k_max: int) -> dict:
+    return {
+        "composites": [0] * buckets,
+        "carmichael": [0] * buckets,
+        "radimichael": [0] * buckets,
+        "omega2": [0] * buckets,
+        "omega3": [0] * buckets,
+        "omega4plus": [0] * buckets,
+        # index histogram: rows 1..k_max exact, final row is "> k_max"
+        "index_hist": [[0] * buckets for _ in range(k_max + 1)],
+    }
+
+
 def _factor_pm1(p: int, entries: np.ndarray, cache: dict) -> tuple[tuple[int, int], ...]:
     got = cache.get(p)
     if got is None:
@@ -190,7 +192,11 @@ def _factor_pm1(p: int, entries: np.ndarray, cache: dict) -> tuple[tuple[int, in
 
 def _segment_counts(table: SpfTable, lo: int, hi: int, checkpoints: list[int],
                     k_max: int, cache: dict) -> dict:
-    """Pure per-segment tallies, bucketed by checkpoint interval."""
+    """Per-segment tallies, bucketed by checkpoint interval.
+
+    `cache` memoizes p-1 factorizations; it only saves work, so the tallies
+    depend on the segment alone.
+    """
     buckets = len(checkpoints)
     entries = table.entries
     nums = np.arange(lo, hi + 1, dtype=np.uint32)
@@ -201,16 +207,8 @@ def _segment_counts(table: SpfTable, lo: int, hi: int, checkpoints: list[int],
     composites = np.bincount(
         np.searchsorted(cp_arr, comp_nums, side="left"), minlength=buckets)
 
-    counts = {
-        "composites": composites.tolist(),
-        "carmichael": [0] * buckets,
-        "radimichael": [0] * buckets,
-        "omega2": [0] * buckets,
-        "omega3": [0] * buckets,
-        "omega4plus": [0] * buckets,
-        # index histogram: rows 1..k_max exact, final row is "> k_max"
-        "index_hist": [[0] * buckets for _ in range(k_max + 1)],
-    }
+    counts = _zero_counts(buckets, k_max)
+    counts["composites"] = composites.tolist()
     # even composites can never be Carmichael or radimichael: phi(n) is even
     # for n >= 3, so 2 | kappa(n) must divide the odd n-1
     odd_list = comp_nums[(comp_nums & 1) == 1].tolist()
@@ -256,14 +254,7 @@ def _segment_counts(table: SpfTable, lo: int, hi: int, checkpoints: list[int],
         for p in ps:
             for q, e in _factor_pm1(p, entries, cache):
                 vq[q] = vq.get(q, 0) + e
-        k = 1
-        for q, e in vq.items():
-            t = 1
-            mm = nm1 // q
-            while mm % q == 0:
-                mm //= q
-                t += 1
-            k = max(k, -(-e // t))
+        k = lehmer_index_from_factors(vq.items(), nm1)
         hist[min(k, k_max + 1) - 1][bucket] += 1
     return counts
 
@@ -280,17 +271,14 @@ def _merge_counts(total: dict, part: dict) -> None:
                 acc[i] += v
 
 
+# fork hand-off for pool workers; set and cleared inside one survey() call
 _WORK: dict = {}
-
-# p-1 factorizations are value-correct for any table, so the memo persists
-# for the life of the process (and per forked worker)
-_PM1_CACHE: dict = {}
 
 
 def _segment_worker(bounds: tuple[int, int]) -> dict:
     lo, hi = bounds
     return _segment_counts(_WORK["table"], lo, hi, _WORK["checkpoints"],
-                           _WORK["k_max"], _PM1_CACHE)
+                           _WORK["k_max"], _WORK["memo"])
 
 
 def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
@@ -309,6 +297,7 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
         raise ValueError(f"survey limit capped at {SURVEY_LIMIT}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_segment_size(segment_size)
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)
     else:
@@ -321,38 +310,27 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
         return SurveyReport(limit, k_max, ())
 
     table = build_spf(limit, segment_size=segment_size, memory_budget=memory_budget)
-    buckets = len(checkpoints)
-    total = {
-        "composites": [0] * buckets,
-        "carmichael": [0] * buckets,
-        "radimichael": [0] * buckets,
-        "omega2": [0] * buckets,
-        "omega3": [0] * buckets,
-        "omega4plus": [0] * buckets,
-        "index_hist": [[0] * buckets for _ in range(k_max + 1)],
-    }
+    total = _zero_counts(len(checkpoints), k_max)
     segments = [(lo, min(lo + segment_size - 1, limit))
                 for lo in range(0, limit + 1, segment_size)]
+    memo: dict = {}  # p -> factors of p-1, for this call (each worker its own copy)
 
-    if workers <= 1 or len(segments) == 1:
-        for lo, hi in segments:
-            _merge_counts(total, _segment_counts(table, lo, hi, checkpoints,
-                                                 k_max, _PM1_CACHE))
-    else:
-        _WORK.update(table=table, checkpoints=checkpoints, k_max=k_max)
+    ctx = None
+    if workers > 1 and len(segments) > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platform
-            ctx = None
+            pass
+    if ctx is None:
+        for lo, hi in segments:
+            _merge_counts(total, _segment_counts(table, lo, hi, checkpoints,
+                                                 k_max, memo))
+    else:
+        _WORK.update(table=table, checkpoints=checkpoints, k_max=k_max, memo=memo)
         try:
-            if ctx is None:
-                for lo, hi in segments:
-                    _merge_counts(total, _segment_counts(
-                        table, lo, hi, checkpoints, k_max, _PM1_CACHE))
-            else:
-                with ctx.Pool(workers) as pool:
-                    for part in pool.map(_segment_worker, segments):
-                        _merge_counts(total, part)
+            with ctx.Pool(workers) as pool:
+                for part in pool.map(_segment_worker, segments):
+                    _merge_counts(total, part)
         finally:
             _WORK.clear()
 

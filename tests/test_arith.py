@@ -106,10 +106,15 @@ def test_prime_verdict_probable_flag():
     assert not comp.is_prime
 
 
-def test_prime_verdict_deterministic_for_seed():
-    n = 2**89 - 1
-    assert prime_verdict(n, seed=7) == prime_verdict(n, seed=7)
-    assert prime_verdict(n, seed=1).is_prime == prime_verdict(n, seed=2).is_prime
+def test_prime_verdict_deterministic():
+    # above 2**64 the bases are a function of n alone: the same verdict on
+    # every call, whatever was tested before
+    ns = [2**89 - 1, 2**127 - 1, (2**61 - 1) * (2**89 - 1), 2**64 + 1, 2**64 + 13]
+    first = [prime_verdict(n) for n in ns]
+    again = [prime_verdict(n) for n in reversed(ns)][::-1]
+    assert first == again
+    assert first[0] == first[1] == prime_verdict(2**89 - 1)
+    assert [v.is_prime for v in first] == [is_prime(n) for n in ns]
 
 
 def test_strong_lucas_component():

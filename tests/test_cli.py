@@ -84,6 +84,14 @@ def test_survey_output_file_and_worker_identity(tmp_path, capsys):
     assert paths[0] == paths[1] == paths[2]
 
 
+def test_survey_rejects_bad_segment_size(capsys):
+    for size in ("0", "-5"):
+        code, out, err = run_cli(capsys, "survey", "--limit", "100",
+                                 "--segment-size", size)
+        assert code == 2 and out == ""
+        assert "segment size must be >= 1" in err
+
+
 def test_survey_memory_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RADIMICHAEL_MEMORY_BUDGET", "1000")
     code, _, err = run_cli(capsys, "survey", "--limit", "1000000")

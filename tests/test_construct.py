@@ -1,12 +1,14 @@
 """Tuple scans, certificate construction, verification, and searches."""
 
 import io
+import json
 from dataclasses import replace
 from math import gcd, prod
 
 import pytest
 
 from radimichael.arith import U64_LIMIT, factorize, radical
+from radimichael import construct
 from radimichael.classify import is_carmichael, lehmer_index
 from radimichael.construct import (
     CertificateViolationError,
@@ -107,6 +109,33 @@ def test_build_explicit_subset():
     assert (0, 2) in hit.hits
     with pytest.raises(InsufficientHitsError):
         build_radimichael(hit, 2, subset=(0, 1))
+
+
+def test_build_tests_each_selected_prime_once(monkeypatch):
+    # the scan's verdicts supply the probable flag; the only primality tests
+    # during building are the self-verify's, one per selected prime
+    hit = scan_tuple(spec_2_0_4(m=3), 1)
+    calls = []
+    inside_verify = [False]
+    real_verdict, real_verify = construct.prime_verdict, construct.verify_certificate
+
+    def counting_verdict(n):
+        calls.append((n, inside_verify[0]))
+        return real_verdict(n)
+
+    def tracking_verify(cert):
+        inside_verify[0] = True
+        try:
+            return real_verify(cert)
+        finally:
+            inside_verify[0] = False
+
+    monkeypatch.setattr(construct, "prime_verdict", counting_verdict)
+    monkeypatch.setattr(construct, "verify_certificate", tracking_verify)
+    cert = build_radimichael(hit, 3)
+    assert len(calls) == 3
+    assert sorted(n for n, _ in calls) == sorted(cert.primes)
+    assert all(inside for _, inside in calls)
 
 
 def test_certificate_index_matches_classify_for_small_n():
@@ -257,6 +286,23 @@ def test_certificate_parse_rejects_malformed():
         certificate_from_line('[1, 2, 3]')
     with pytest.raises(ValueError):
         read_certificates(io.StringIO('{"a": 2}\n'))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N", 15.9),
+    ("N", "15"),
+    ("lehmer_index", 3.99),
+    ("sufficient_condition_held", 0),
+    ("unknown_field", 1),
+    ("gcd_a_n", True),
+    ("primes", [3, "5"]),
+])
+def test_certificate_parse_accepts_only_wire_types(field, value):
+    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    record = json.loads(certificate_to_line(cert))
+    record[field] = value
+    with pytest.raises(ValueError):
+        certificate_from_line(json.dumps(record))
 
 
 def test_tampered_line_fails_verification():

@@ -13,7 +13,6 @@ from radimichael.survey import (
     default_checkpoints,
     report_parse,
     report_write,
-    sieve_spf,
     survey,
 )
 
@@ -30,7 +29,8 @@ def smallest_factor(n):
 # ---------------------------------------------------------------------------
 
 def test_sieve_spf_first_decade():
-    table = sieve_spf(2, 10)
+    # segments of 3 put boundaries at 3, 6 and 9, inside the checked range
+    table = build_spf(10, segment_size=3)
     assert {n: table.spf(n) for n in range(2, 11)} == {
         2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2}
 
@@ -43,29 +43,35 @@ def test_sieve_spf_named_values():
 
 
 def test_sieve_spf_offset_segment_matches_trial_division():
+    # 1000 divides 1_000_000, so segments start at 999_000 and 1_000_000,
+    # and the window below straddles that boundary
     lo, hi = 999_950, 1_000_050
-    table = sieve_spf(lo, hi)
+    table = build_spf(hi, segment_size=1000)
     for n in range(lo, hi + 1):
         assert table.spf(n) == smallest_factor(n), n
 
 
 def test_sieve_spf_matches_full_table_across_bases():
     full = build_spf(10_000)
-    for lo, hi in [(0, 100), (97, 310), (5000, 7777), (9000, 10_000)]:
-        seg = sieve_spf(lo, hi)
-        for n in range(max(lo, 2), hi + 1):
-            assert seg.spf(n) == full.spf(n)
+    for segment_size in (1, 7, 97, 128, 5000, 9999):
+        segmented = build_spf(10_000, segment_size=segment_size)
+        assert (segmented.entries == full.entries).all(), segment_size
 
 
 def test_sieve_budget_enforced():
     with pytest.raises(MemoryBudgetError):
-        sieve_spf(0, 10**7, memory_budget=1000)
-    with pytest.raises(MemoryBudgetError):
         build_spf(10**7, memory_budget=1000)
+    with pytest.raises(MemoryBudgetError):
+        build_spf(10**7, segment_size=1 << 10, memory_budget=4 * 10**7)
     with pytest.raises(ValueError):
-        sieve_spf(5, 2)
+        build_spf(0)
     with pytest.raises(ValueError):
-        sieve_spf(0, 10**9 + 1)
+        build_spf(10**8 + 1)
+    for segment_size in (0, -5):
+        with pytest.raises(ValueError, match="segment size"):
+            build_spf(100, segment_size=segment_size)
+        with pytest.raises(ValueError, match="segment size"):
+            survey(100, segment_size=segment_size)
 
 
 def test_spf_factorize_matches_generic():
@@ -73,7 +79,7 @@ def test_spf_factorize_matches_generic():
     for n in range(1, 20_001, 7):
         assert table.factorize(n) == factorize(n)
     with pytest.raises(ValueError):
-        sieve_spf(100, 200).factorize(150)
+        table.factorize(20_001)
 
 
 # ---------------------------------------------------------------------------
