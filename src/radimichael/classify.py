@@ -99,18 +99,19 @@ def lehmer_index(n: int, f: Factorization) -> int | None:
 
 
 def is_k_lehmer(n: int, k: int, f: Factorization | None = None) -> bool:
-    """Direct big-integer oracle: does phi(n) divide (n-1)**k?
+    """Direct oracle: does phi(n) divide (n-1)**k?
 
-    Pass f to skip factoring (required when n >= 2**64 but its factorization
-    is known). This is deliberately the dumb route; lehmer_index is checked
-    against it.
+    The divisibility is tested as (n-1)**k mod phi(n) == 0, reduced at every
+    step so the full power is never built. Pass f to skip factoring (required
+    when n >= 2**64 but its factorization is known). This is deliberately the
+    dumb route, with no factoring of phi(n); lehmer_index is checked against it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if f is None:
         f = factorize(n)
     _check_composite(n, f)
-    return (n - 1) ** k % euler_phi(f) == 0
+    return pow(n - 1, k, euler_phi(f)) == 0
 
 
 def classify(n: int) -> NumberClass:

@@ -2,9 +2,11 @@
 
 The survey walks every integer up to a limit, counts composites, Carmichael,
 radimichael, and L_k members at each checkpoint, and breaks radimichael
-counts down by number of distinct prime factors. Factoring inside the sweep
-is spf-chasing against one read-only table; segments are pure and merged in
-order, so output is identical for any worker count.
+counts down by number of distinct prime factors. A vectorised filter
+over the odd composites of each segment (spf chase against one read-only
+table, plus a table of odd radicals of p-1) leaves only the radimichael
+numbers, which the exact index kernel then classifies one by one. Segments
+are pure and merged in order, so output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ import numpy as np
 from .arith import Factorization, prime_table
 from .classify import lehmer_index_from_factors
 
-DEFAULT_SEGMENT_SIZE = 1 << 22      # table entries per sieve/classify segment
-DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes; table is 4 bytes per integer
+DEFAULT_SEGMENT_SIZE = 1 << 20      # table entries per sieve/classify segment
+DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes; each uint32 table is 4 bytes per integer
 DEFAULT_K_MAX = 8
+# cap on k_max: no n <= SURVEY_LIMIT has an index above 26, as phi(n) < 2**27
+K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
 
-# transient numpy scratch per segment entry (masks, index arrays)
+# transient numpy scratch per segment entry: peak RSS over the two tables
+# measured 18-21 bytes per entry at the default segment size
 _SCRATCH_BYTES_PER_ENTRY = 24
 
 
@@ -102,19 +107,30 @@ def _check_segment_size(segment_size: int) -> None:
         raise ValueError(f"segment size must be >= 1, got {segment_size}")
 
 
+def _memory_charge(limit: int, in_flight: int, *, oddrad: bool) -> int:
+    """Bytes for the uint32 spf table over [0, limit], the oddrad table over
+    [0, limit // 3] if `oddrad`, and the scratch of `in_flight` segment
+    entries (one segment per worker)."""
+    width = limit + 1
+    entries = width + (limit // 3 + 1 if oddrad else 0)
+    return 4 * entries + min(width, in_flight) * _SCRATCH_BYTES_PER_ENTRY
+
+
+def _check_budget(charge: int, memory_budget: int | None) -> None:
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    if charge > budget:
+        raise MemoryBudgetError(f"tables plus segment scratch need {charge} bytes, "
+                                f"budget is {budget}")
+
+
 def build_spf(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
               memory_budget: int | None = None) -> SpfTable:
     """Full table for [0, limit], sieved segment by segment."""
     if limit < 1 or limit > SURVEY_LIMIT:
         raise ValueError(f"need 1 <= limit <= {SURVEY_LIMIT}")
     _check_segment_size(segment_size)
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    _check_budget(_memory_charge(limit, segment_size, oddrad=False), memory_budget)
     width = limit + 1
-    scratch = min(width, segment_size) * _SCRATCH_BYTES_PER_ENTRY
-    if width * 4 + scratch > budget:
-        raise MemoryBudgetError(
-            f"table to {limit} needs {width * 4} bytes plus {scratch} scratch, "
-            f"budget is {budget}")
     entries = np.zeros(width, dtype=np.uint32)
     for lo in range(0, width, segment_size):
         hi = min(lo + segment_size - 1, limit)
@@ -160,125 +176,105 @@ def default_checkpoints(limit: int) -> list[int]:
     return points
 
 
-def _zero_counts(buckets: int, k_max: int) -> dict:
-    return {
-        "composites": [0] * buckets,
-        "carmichael": [0] * buckets,
-        "radimichael": [0] * buckets,
-        "omega2": [0] * buckets,
-        "omega3": [0] * buckets,
-        "omega4plus": [0] * buckets,
-        # index histogram: rows 1..k_max exact, final row is "> k_max"
-        "index_hist": [[0] * buckets for _ in range(k_max + 1)],
-    }
+# rows of a segment's tally array, whose columns are checkpoint buckets;
+# rows _HIST.. hold the index histogram, k = 1..k_max exact, then "> k_max"
+_COMPOSITES, _CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 3, 6
 
 
-def _factor_pm1(p: int, entries: np.ndarray, cache: dict) -> tuple[tuple[int, int], ...]:
-    got = cache.get(p)
-    if got is None:
-        factors = []
-        m = p - 1
-        while m > 1:
-            q = int(entries[m])
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            factors.append((q, e))
-        got = tuple(factors)
-        cache[p] = got
-    return got
+def build_oddrad(table: SpfTable, segment_size: int = DEFAULT_SEGMENT_SIZE
+                 ) -> np.ndarray:
+    """oddrad[p] = odd part of rad(p-1) for every odd prime p; 1 elsewhere.
 
-
-def _segment_counts(table: SpfTable, lo: int, hi: int, checkpoints: list[int],
-                    k_max: int, cache: dict) -> dict:
-    """Per-segment tallies, bucketed by checkpoint interval.
-
-    `cache` memoizes p-1 factorizations; it only saves work, so the tallies
-    depend on the segment alone.
+    The table stops at limit // 3, the largest prime factor an odd composite
+    up to the limit can have. The primes are chased through the spf table in
+    numpy, one segment at a time, so no temporary spans the whole table.
     """
-    buckets = len(checkpoints)
     entries = table.entries
-    nums = np.arange(lo, hi + 1, dtype=np.uint32)
-    seg = entries[lo:hi + 1]
-    comp_mask = (seg != nums) & (nums >= 4)
-    comp_nums = nums[comp_mask]
-    cp_arr = np.asarray(checkpoints, dtype=np.int64)
-    composites = np.bincount(
-        np.searchsorted(cp_arr, comp_nums, side="left"), minlength=buckets)
+    oddrad = np.ones(table.limit // 3 + 1, dtype=np.uint32)
+    for lo in range(3, len(oddrad), segment_size):
+        hi = min(lo + segment_size, len(oddrad))
+        odd = np.arange(lo | 1, hi, 2, dtype=np.uint32)
+        p = odd[entries[lo | 1:hi:2] == odd]
+        m = p - 1
+        m //= m & (~m + 1)  # divide out the lowest set bit: the odd part
+        r = np.ones_like(m)
+        q = entries[m]
+        while p.size:
+            m //= q
+            nxt = entries[m]
+            # each prime once, at the last step that divides it out
+            np.multiply(r, q, out=r, where=nxt != q)
+            done = nxt == 1
+            oddrad[p[done]] = r[done]
+            live = ~done
+            p, m, r, q = p[live], m[live], r[live], nxt[live]
+    return oddrad
 
-    counts = _zero_counts(buckets, k_max)
-    counts["composites"] = composites.tolist()
-    # even composites can never be Carmichael or radimichael: phi(n) is even
-    # for n >= 3, so 2 | kappa(n) must divide the odd n-1
-    odd_list = comp_nums[(comp_nums & 1) == 1].tolist()
 
-    item = entries.item
-    carm_counts = counts["carmichael"]
-    radi_counts = counts["radimichael"]
-    omega_counts = (counts["omega2"], counts["omega3"], counts["omega4plus"])
-    hist = counts["index_hist"]
+def _radimichael_in(entries: np.ndarray, oddrad: np.ndarray,
+                    lo: int, hi: int) -> np.ndarray:
+    """The radimichael numbers in [lo, hi], in no particular order.
 
-    for n in odd_list:
-        m = n
-        ps = []
-        squarefree = True
-        while m > 1:
-            p = item(m)
-            m //= p
-            if m % p == 0:
-                # a squared prime divides phi(n) but not n-1: not radimichael
-                squarefree = False
-                break
-            ps.append(p)
-        if not squarefree:
-            continue
+    Even composites never qualify: phi(n) is even for n >= 3, and 2 cannot
+    divide the odd n-1. An odd composite is chased p by p through the spf
+    table and dropped at a repeated p (a squared prime divides phi(n) but
+    not n-1) or when oddrad[p] does not divide n-1.
+    """
+    n = np.arange(lo | 1, hi + 1, 2, dtype=np.uint32)
+    q = entries[lo | 1:hi + 1:2]
+    composite = q != n  # the 0/1 sentinels and primes equal themselves
+    n, q = n[composite], q[composite]
+    m = n.copy()
+    found = []
+    while n.size:
+        m //= q
+        nxt = entries[m]
+        keep = (nxt != q) & ((n - 1) % oddrad[q] == 0)
+        done = nxt == 1
+        found.append(n[keep & done])
+        keep &= ~done
+        n, m, q = n[keep], m[keep], nxt[keep]
+    return np.concatenate(found) if found else n
+
+
+def _segment_counts(table: SpfTable, oddrad: np.ndarray, checkpoints: list[int],
+                    k_max: int, lo: int, hi: int) -> np.ndarray:
+    """Per-segment tally array, bucketed by checkpoint interval."""
+    entries = table.entries
+    counts = np.zeros((_HIST + k_max + 1, len(checkpoints)), dtype=np.int64)
+    composite = entries[lo:hi + 1] != np.arange(lo, hi + 1, dtype=np.uint32)
+    start = lo
+    for bucket in range(bisect_left(checkpoints, lo), len(checkpoints)):
+        end = min(checkpoints[bucket], hi)
+        counts[_COMPOSITES, bucket] = np.count_nonzero(
+            composite[start - lo:end - lo + 1])
+        if end == hi:
+            break
+        start = end + 1
+
+    for n in _radimichael_in(entries, oddrad, lo, hi).tolist():
+        ps = [p for p, _ in table.factorize(n).factors]  # squarefree
         nm1 = n - 1
-        radi = True
-        for p in ps:
-            for q, _ in _factor_pm1(p, entries, cache):
-                if q != 2 and nm1 % q:
-                    radi = False
-                    break
-            if not radi:
-                break
-        if not radi:
-            continue
         bucket = bisect_left(checkpoints, n)
-        radi_counts[bucket] += 1
-        omega_counts[min(len(ps), 4) - 2][bucket] += 1
+        counts[_RADIMICHAEL, bucket] += 1
+        counts[_OMEGA2 + min(len(ps), 4) - 2, bucket] += 1
         if all(nm1 % (p - 1) == 0 for p in ps):  # Korselt, squarefree case
-            carm_counts[bucket] += 1
-        # exact minimal index from valuations of phi(n) = prod(p-1)
-        vq: dict[int, int] = {}
+            counts[_CARMICHAEL, bucket] += 1
+        # exact minimal index; phi(n) = prod(p-1) < n lies in the table
+        phi = 1
         for p in ps:
-            for q, e in _factor_pm1(p, entries, cache):
-                vq[q] = vq.get(q, 0) + e
-        k = lehmer_index_from_factors(vq.items(), nm1)
-        hist[min(k, k_max + 1) - 1][bucket] += 1
+            phi *= p - 1
+        k = lehmer_index_from_factors(table.factorize(phi).factors, nm1)
+        counts[_HIST + min(k, k_max + 1) - 1, bucket] += 1
     return counts
 
 
-def _merge_counts(total: dict, part: dict) -> None:
-    for key, value in part.items():
-        if key == "index_hist":
-            for row_t, row_p in zip(total[key], value):
-                for i, v in enumerate(row_p):
-                    row_t[i] += v
-        else:
-            acc = total[key]
-            for i, v in enumerate(value):
-                acc[i] += v
-
-
-# fork hand-off for pool workers; set and cleared inside one survey() call
+# _segment_counts' leading arguments, set in each pool worker by its initializer
 _WORK: dict = {}
 
 
-def _segment_worker(bounds: tuple[int, int]) -> dict:
-    lo, hi = bounds
-    return _segment_counts(_WORK["table"], lo, hi, _WORK["checkpoints"],
-                           _WORK["k_max"], _WORK["memo"])
+def _segment_worker(bounds: tuple[int, int]) -> np.ndarray:
+    return _segment_counts(*_WORK["args"], *bounds)
 
 
 def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
@@ -288,15 +284,17 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     """Exact class counts for all integers up to `limit` (<= 10**8).
 
     Every composite is classified from the spf table; per-segment tallies are
-    pure values merged in segment order, so the report is identical for any
-    `workers` setting.
+    pure values summed in segment order, so the report is identical for any
+    `workers` setting. The spf and oddrad tables (4 + 4/3 bytes per integer)
+    plus one segment's scratch per worker are charged to `memory_budget` up
+    front.
     """
     if limit < 1:
         raise ValueError("survey requires limit >= 1")
     if limit > SURVEY_LIMIT:
         raise ValueError(f"survey limit capped at {SURVEY_LIMIT}")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not 1 <= k_max <= K_MAX_LIMIT:
+        raise ValueError(f"k_max must lie in [1, {K_MAX_LIMIT}], got {k_max}")
     _check_segment_size(segment_size)
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)
@@ -309,11 +307,13 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     if not checkpoints:
         return SurveyReport(limit, k_max, ())
 
+    _check_budget(_memory_charge(limit, segment_size * max(workers, 1), oddrad=True),
+                  memory_budget)
     table = build_spf(limit, segment_size=segment_size, memory_budget=memory_budget)
-    total = _zero_counts(len(checkpoints), k_max)
+    args = (table, build_oddrad(table, segment_size), checkpoints, k_max)
+    total = np.zeros((_HIST + k_max + 1, len(checkpoints)), dtype=np.int64)
     segments = [(lo, min(lo + segment_size - 1, limit))
                 for lo in range(0, limit + 1, segment_size)]
-    memo: dict = {}  # p -> factors of p-1, for this call (each worker its own copy)
 
     ctx = None
     if workers > 1 and len(segments) > 1:
@@ -323,43 +323,19 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
             pass
     if ctx is None:
         for lo, hi in segments:
-            _merge_counts(total, _segment_counts(table, lo, hi, checkpoints,
-                                                 k_max, memo))
+            total += _segment_counts(*args, lo, hi)
     else:
-        _WORK.update(table=table, checkpoints=checkpoints, k_max=k_max, memo=memo)
-        try:
-            with ctx.Pool(workers) as pool:
-                for part in pool.map(_segment_worker, segments):
-                    _merge_counts(total, part)
-        finally:
-            _WORK.clear()
+        # forked workers inherit the tables; only the bounds are pickled
+        with ctx.Pool(workers, initializer=_WORK.update,
+                      initargs=({"args": args},)) as pool:
+            for part in pool.map(_segment_worker, segments):
+                total += part
 
-    rows = []
-    running = {key: 0 for key in
-               ("composites", "carmichael", "radimichael",
-                "omega2", "omega3", "omega4plus")}
-    hist_running = [0] * (k_max + 1)
-    for i, cp in enumerate(checkpoints):
-        for key in running:
-            running[key] += total[key][i]
-        for k in range(k_max + 1):
-            hist_running[k] += total["index_hist"][k][i]
-        lehmer = []
-        acc = 0
-        for k in range(k_max):
-            acc += hist_running[k]
-            lehmer.append(acc)
-        rows.append(CheckpointRow(
-            checkpoint=cp,
-            composites=running["composites"],
-            carmichael=running["carmichael"],
-            radimichael=running["radimichael"],
-            radimichael_not_carmichael=running["radimichael"] - running["carmichael"],
-            lehmer=tuple(lehmer),
-            omega2=running["omega2"],
-            omega3=running["omega3"],
-            omega4plus=running["omega4plus"],
-        ))
+    running = total.cumsum(axis=1).tolist()  # cumulative over checkpoints
+    lehmer = np.cumsum(running[_HIST:_HIST + k_max], axis=0).T.tolist()
+    rows = [CheckpointRow(cp, comp, carm, radi, radi - carm, tuple(lk), o2, o3, o4)
+            for cp, comp, carm, radi, o2, o3, o4, lk
+            in zip(checkpoints, *running[:_HIST], lehmer)]
     return SurveyReport(limit, k_max, tuple(rows))
 
 
@@ -408,29 +384,39 @@ def report_write(report: SurveyReport, fmt: str) -> bytes:
     raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
 
 
+def _int_record(line: str, names: list[str]) -> list[int]:
+    """The values of a JSON object with exactly the fields `names`, each a
+    JSON integer (not a bool, float or numeric string)."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not a JSON record: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError("report record must be a JSON object")
+    missing = [name for name in names if name not in record]
+    unknown = sorted(set(record) - set(names))
+    if missing or unknown:
+        raise ValueError(f"report record fields: missing {missing}, unknown {unknown}")
+    bad = [name for name in names if type(record[name]) is not int]
+    if bad:
+        raise ValueError(f"report fields that are not JSON integers: {bad}")
+    return [record[name] for name in names]
+
+
 def report_parse(data: bytes) -> SurveyReport:
-    """Parse the json-lines rendering back into a SurveyReport."""
+    """Parse the json-lines rendering back into a SurveyReport.
+
+    Only what report_write writes is accepted; anything else raises
+    ValueError.
+    """
     lines = [line for line in data.decode().splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty report data")
-    head = json.loads(lines[0])
-    limit, k_max = int(head["limit"]), int(head["k_max"])
-    cols = _columns(k_max)
+    limit, k_max = _int_record(lines[0], ["limit", "k_max"])
+    if limit < 1 or not 1 <= k_max <= K_MAX_LIMIT:
+        raise ValueError(f"report header out of range: limit={limit}, k_max={k_max}")
     rows = []
     for line in lines[1:]:
-        record = json.loads(line)
-        missing = [c for c in cols if c not in record]
-        if missing:
-            raise ValueError(f"report row missing columns: {missing}")
-        rows.append(CheckpointRow(
-            checkpoint=int(record["checkpoint"]),
-            composites=int(record["composites"]),
-            carmichael=int(record["carmichael"]),
-            radimichael=int(record["radimichael"]),
-            radimichael_not_carmichael=int(record["radimichael_not_carmichael"]),
-            lehmer=tuple(int(record[f"L{k}"]) for k in range(1, k_max + 1)),
-            omega2=int(record["omega2_radimichael"]),
-            omega3=int(record["omega3_radimichael"]),
-            omega4plus=int(record["omega4plus_radimichael"]),
-        ))
+        v = _int_record(line, _columns(k_max))
+        rows.append(CheckpointRow(*v[:5], tuple(v[5:5 + k_max]), *v[5 + k_max:]))
     return SurveyReport(limit, k_max, tuple(rows))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from radimichael.arith import factorize
+from radimichael.arith import euler_phi, factorize
 from radimichael.classify import (
     NumberClass,
     classify,
@@ -92,6 +92,14 @@ def test_is_k_lehmer_examples():
         is_k_lehmer(7, 2)
     with pytest.raises(ValueError):
         is_k_lehmer(15, 0)
+
+
+def test_is_k_lehmer_equals_full_power_divisibility_up_to_3000():
+    # the modular check against the literal definition, big power and all
+    for n, f in composites(3000):
+        phi = euler_phi(f)
+        for k in range(1, 7):
+            assert is_k_lehmer(n, k, f) == ((n - 1) ** k % phi == 0), (n, k)
 
 
 def test_is_k_lehmer_monotone():

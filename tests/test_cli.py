@@ -92,6 +92,14 @@ def test_survey_rejects_bad_segment_size(capsys):
         assert "segment size must be >= 1" in err
 
 
+def test_survey_rejects_k_max_above_cap(capsys):
+    # refused before any table or histogram is allocated
+    code, out, err = run_cli(capsys, "survey", "--limit", "100",
+                             "--k-max", "100000000")
+    assert code == 2 and out == ""
+    assert "k_max must lie in [1, 64]" in err
+
+
 def test_survey_memory_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RADIMICHAEL_MEMORY_BUDGET", "1000")
     code, _, err = run_cli(capsys, "survey", "--limit", "1000000")

@@ -1,14 +1,25 @@
 """Sieve correctness, survey counts, rendering, and worker determinism."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from radimichael.arith import factorize
+import radimichael
+from radimichael.arith import factorize, radical
 from radimichael.classify import classify
 from radimichael.survey import (
+    DEFAULT_SEGMENT_SIZE,
+    K_MAX_LIMIT,
     MemoryBudgetError,
     SurveyReport,
+    _memory_charge,
+    build_oddrad,
     build_spf,
     default_checkpoints,
     report_parse,
@@ -82,6 +93,19 @@ def test_spf_factorize_matches_generic():
         table.factorize(20_001)
 
 
+def test_oddrad_is_odd_radical_of_p_minus_1_up_to_1e5():
+    table = build_spf(3 * 10**5 + 2)  # oddrad stops at limit // 3
+    for segment_size in (DEFAULT_SEGMENT_SIZE, 997):
+        oddrad = build_oddrad(table, segment_size)
+        assert len(oddrad) == 10**5 + 1
+        for n in range(10**5 + 1):
+            if n > 2 and table.is_prime(n):
+                r = radical(factorize(n - 1))
+                assert oddrad[n] == r // (r & -r), n  # odd part
+            else:
+                assert oddrad[n] == 1, n
+
+
 # ---------------------------------------------------------------------------
 # survey counts
 # ---------------------------------------------------------------------------
@@ -135,6 +159,26 @@ def test_survey_matches_naive_classify_loop_at_1e4():
                                      if c.radimichael and c.omega >= 4)
 
 
+def test_survey_matches_naive_classify_loop_across_segment_edges():
+    # segments of 1024 entries; checkpoints sit on both ends of segments
+    edges = [1023, 1024, 2046, 2047, 5120, 10239, 10240, 20479, 29696]
+    report = survey(3 * 10**4, segment_size=1 << 10, checkpoints=edges)
+    assert [row.checkpoint for row in report.rows] == edges + [3 * 10**4]
+    naive = [classify(n) for n in range(1, 3 * 10**4 + 1)]
+    for row in report.rows:
+        upto = naive[:row.checkpoint]
+        radi = [c for c in upto if c.radimichael]
+        assert row.composites == sum(c.category == "composite" for c in upto)
+        assert row.carmichael == sum(c.carmichael for c in upto)
+        assert row.radimichael == len(radi)
+        assert row.radimichael_not_carmichael == sum(not c.carmichael for c in radi)
+        assert row.lehmer == tuple(sum(c.lehmer_index <= k for c in radi)
+                                   for k in range(1, report.k_max + 1))
+        assert row.omega2 == sum(c.omega == 2 for c in radi)
+        assert row.omega3 == sum(c.omega == 3 for c in radi)
+        assert row.omega4plus == sum(c.omega >= 4 for c in radi)
+
+
 def test_survey_row_invariants():
     report = survey(10**5)
     prev = None
@@ -163,6 +207,12 @@ def test_survey_custom_checkpoints_and_validation():
         survey(100, k_max=0)
 
 
+def test_survey_k_max_cap():
+    assert len(survey(100, k_max=K_MAX_LIMIT).rows[-1].lehmer) == K_MAX_LIMIT
+    with pytest.raises(ValueError, match="k_max"):
+        survey(100, k_max=K_MAX_LIMIT + 1)
+
+
 def test_survey_deterministic_across_workers_and_segments():
     base = report_write(survey(10**5), "csv")
     for workers in (2, 8):
@@ -171,6 +221,35 @@ def test_survey_deterministic_across_workers_and_segments():
         assert report_write(survey(10**5, segment_size=seg), "csv") == base
         assert report_write(survey(10**5, segment_size=seg, workers=2),
                             "csv") == base
+
+
+def test_survey_workers_1_2_4_byte_identical_with_small_segments():
+    outputs = {report_write(survey(10**5, workers=w, segment_size=1 << 12), "csv")
+               for w in (1, 2, 4)}
+    assert len(outputs) == 1
+
+
+def test_survey_peak_memory_within_budget_model():
+    pytest.importorskip("resource")
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
+    limit = 2 * 10**6
+    code = textwrap.dedent(f"""
+        import resource
+        import numpy
+        from radimichael.survey import survey
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        survey({limit})
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) * 1024)
+    """)
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    growth = int(proc.stdout)
+    charge = _memory_charge(limit, DEFAULT_SEGMENT_SIZE, oddrad=True)
+    assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +294,34 @@ def test_table_format_alignment():
     assert lines[0].split() == report_write(survey(100), "csv").decode() \
         .splitlines()[0].split(",")
     assert len({len(line) for line in lines}) == 1  # fixed-width rows
+
+
+def test_report_parse_is_strict():
+    good = report_write(survey(100, k_max=2), "json-lines").decode().splitlines()
+    head, row = good[0], json.loads(good[-1])
+
+    def parse(*lines):
+        return report_parse("\n".join(lines).encode())
+
+    assert parse(*good) == survey(100, k_max=2)
+    assert parse(head, json.dumps(row)).rows[0].checkpoint == 100  # row is valid
+    bad_rows = [
+        {**row, "radimichael": 4.7},            # float
+        {**row, "composites": "74"},            # numeric string
+        {**row, "carmichael": False},           # bool
+        {k: v for k, v in row.items() if k != "L2"},  # missing column
+        {**row, "L3": 0},                        # unknown column
+    ]
+    for bad in bad_rows:
+        with pytest.raises(ValueError):
+            parse(head, json.dumps(bad))
+    for bad_head in ('{"limit":"10","k_max":2}', '{"limit":100,"k_max":2.0}',
+                     '{"limit":100,"k_max":true}', '{"limit":100}',
+                     '{"limit":100,"k_max":2,"extra":1}',
+                     '{"limit":100,"k_max":0}', '{"limit":0,"k_max":2}',
+                     f'{{"limit":100,"k_max":{K_MAX_LIMIT + 1}}}',
+                     "[100,2]", "not json"):
+        with pytest.raises(ValueError):
+            parse(bad_head)
+    with pytest.raises(ValueError):
+        parse("")
