@@ -28,6 +28,11 @@ from .classify import is_carmichael, is_k_lehmer, lehmer_index_from_factors
 
 log = logging.getLogger(__name__)
 
+# Largest bit length of a tuple prime a^l * n + 1 that a spec may produce and
+# that `verify` will test. Verifying one component at the cap costs 30 SPRP
+# rounds plus a strong Lucas test on a number of this size.
+MAX_COMPONENT_BITS = 2048
+
 
 class InsufficientHitsError(ValueError):
     """A tuple hit does not contain enough primes to build the request."""
@@ -66,6 +71,20 @@ class TupleSpec:
             raise ValueError(f"m={self.m} exceeds the {hi - lo + 1}-slot window")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
+        if _exceeds_component_cap(self.a, hi, self.n_max):
+            raise ValueError(f"largest component {self.a}^{hi} * {self.n_max} + 1 "
+                             f"exceeds {MAX_COMPONENT_BITS} bits")
+
+
+def _exceeds_component_cap(a: int, l: int, n: int) -> bool:
+    """Whether a^l * n + 1 has more than MAX_COMPONENT_BITS bits (a, n >= 1).
+
+    a^l * n >= 2^(l*(bits(a)-1) + bits(n)-1) decides a huge l before a^l is
+    built, so the power computed below has at most about twice the cap.
+    """
+    if l * (a.bit_length() - 1) + n.bit_length() - 1 >= MAX_COMPONENT_BITS:
+        return True
+    return (a**l * n + 1).bit_length() > MAX_COMPONENT_BITS
 
 
 @dataclass(frozen=True)
@@ -123,6 +142,19 @@ def scan_tuple(spec: TupleSpec, n: int) -> TupleHit:
     return TupleHit(spec, n, tuple(found), tuple(probable))
 
 
+def _phi_valuations(a_factors, n_factors, exponent_sum: int, m: int
+                    ) -> dict[int, int]:
+    """Prime valuations of phi(N) for N a product of m tuple primes.
+
+    phi(N) = a^sum(l_i) * n^m with every l_i >= 1, so its valuations come
+    from the factorizations of a and n only, and rad(phi(N)) = rad(a*n).
+    """
+    phi_vals = {q: e * exponent_sum for q, e in a_factors}
+    for q, e in n_factors:
+        phi_vals[q] = phi_vals.get(q, 0) + e * m
+    return phi_vals
+
+
 def build_radimichael(hit: TupleHit, m: int,
                       subset: tuple[int, ...] | None = None) -> RadimichaelCertificate:
     """Certify the product of m primes from a tuple hit.
@@ -159,11 +191,8 @@ def build_radimichael(hit: TupleHit, m: int,
             raise CertificateViolationError(f"hit entry {p} != {a}^{l}*{n}+1")
     big_n = prod(primes)
     modulus = a ** exponents[1] * n
-    # phi(N) = a^sum(l_i) * n^m with every l_i >= 1, so its prime valuations
-    # come from factoring a and n only, and rad(phi(N)) = rad(a*n)
-    phi_vals = {q: e * sum(exponents) for q, e in factorize(a).factors}
-    for q, e in factorize(n).factors:
-        phi_vals[q] = phi_vals.get(q, 0) + e * m
+    phi_vals = _phi_valuations(factorize(a).factors, factorize(n).factors,
+                               sum(exponents), m)
     probable = dict(zip(hit.hits, hit.probable))
 
     cert = RadimichaelCertificate(
@@ -231,7 +260,9 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
             return False
         probable = False
         for l, p in zip(cert.exponents, cert.primes):
-            if p != a**l * n + 1:
+            # a^l >= 2^(l*(bits(a)-1)), so a mismatch from a huge l is
+            # decided before a^l is built
+            if l * (a.bit_length() - 1) >= p.bit_length() or p != a**l * n + 1:
                 return False
             verdict = prime_verdict(p)
             if not verdict.is_prime:
@@ -284,12 +315,38 @@ def _eligible_subsets(hit: TupleHit, m: int, all_subsets: bool):
         yield tuple(usable[:m])
 
 
-def _search_chunk(spec: TupleSpec, n_lo: int, n_hi: int,
-                  all_subsets: bool) -> list[RadimichaelCertificate]:
+def _on_target(hit: TupleHit, subsets: list[tuple[int, ...]],
+               target: int) -> list[tuple[int, ...]]:
+    """The subsets whose product has Lehmer index `target` or satisfies the
+    sufficient condition sum(l_i - b) < b, with the index computed from
+    valuations, before anything is certified."""
+    b = hit.spec.b
+    primes = dict(hit.hits)
+    a_factors = factorize(hit.spec.a).factors
+    n_factors = factorize(hit.n).factors
+    kept = []
+    for subset in subsets:
+        if sum(l - b for l in subset) >= b:
+            phi_vals = _phi_valuations(a_factors, n_factors, sum(subset),
+                                       len(subset))
+            n_minus_1 = prod(primes[l] for l in subset) - 1
+            if lehmer_index_from_factors(phi_vals.items(), n_minus_1) != target:
+                continue
+        kept.append(subset)
+    return kept
+
+
+def _search_chunk(spec: TupleSpec, n_lo: int, n_hi: int, all_subsets: bool,
+                  target: int | None) -> list[RadimichaelCertificate]:
+    """Certify the eligible products for n in [n_lo, n_hi]; with a `target`
+    index, only those _on_target keeps."""
     out = []
     for n in range(n_lo, n_hi + 1):
         hit = scan_tuple(spec, n)
-        for subset in _eligible_subsets(hit, spec.m, all_subsets):
+        subsets = list(_eligible_subsets(hit, spec.m, all_subsets))
+        if target is not None and subsets:
+            subsets = _on_target(hit, subsets, target)
+        for subset in subsets:
             out.append(build_radimichael(hit, spec.m, subset))
     return out
 
@@ -302,6 +359,23 @@ def _chunk_ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
             for start in range(lo, hi + 1, step)]
 
 
+def _search(spec: TupleSpec, all_subsets: bool, workers: int,
+            target: int | None) -> list[RadimichaelCertificate]:
+    """_search_chunk over spec's n range, in n order for any worker count."""
+    if workers <= 1 or spec.n_max == spec.n_min:
+        return _search_chunk(spec, spec.n_min, spec.n_max, all_subsets, target)
+    chunks = _chunk_ranges(spec.n_min, spec.n_max, workers * 4)
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-forking platform
+        return _search_chunk(spec, spec.n_min, spec.n_max, all_subsets, target)
+    with ctx.Pool(workers) as pool:
+        parts = pool.starmap(
+            _search_chunk,
+            [(spec, lo, hi, all_subsets, target) for lo, hi in chunks])
+    return [cert for part in parts for cert in part]
+
+
 def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
                        workers: int = 1) -> list[RadimichaelCertificate]:
     """Scan spec's n range and certify every qualifying product.
@@ -310,17 +384,7 @@ def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
     all_subsets=True certifies every size-m selection instead. Results are
     ordered by n (then by selection), independent of worker count.
     """
-    if workers <= 1 or spec.n_max == spec.n_min:
-        return _search_chunk(spec, spec.n_min, spec.n_max, all_subsets)
-    chunks = _chunk_ranges(spec.n_min, spec.n_max, workers * 4)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-forking platform
-        return _search_chunk(spec, spec.n_min, spec.n_max, all_subsets)
-    with ctx.Pool(workers) as pool:
-        parts = pool.starmap(
-            _search_chunk, [(spec, lo, hi, all_subsets) for lo, hi in chunks])
-    return [cert for part in parts for cert in part]
+    return _search(spec, all_subsets, workers, None)
 
 
 def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
@@ -329,12 +393,14 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
                     ) -> list[RadimichaelCertificate]:
     """Hunt members of L_k \\ L_{k-1} with exactly k-1 prime factors.
 
-    Uses the window (b, b+s) and m = k-1, certifying every size-m selection
-    of primes per n, and returns only certificates whose exact index is k.
-    Certificates where the recorded sufficient condition held but the index
-    came out different are appended to `diagnostics` (and logged), never
-    silently dropped. k = 2 is rejected: no product of a single tuple prime
-    can land in L_2 \\ L_1, and semiprimes never do.
+    Uses the window (b, b+s) and m = k-1. The exact index of every size-m
+    selection of primes per n is computed from valuations first, and only
+    products of index k, or with the sufficient condition sum(l_i - b) < b
+    held, are certified; certificates of index k are returned. Certificates
+    where the sufficient condition held but the index came out different are
+    appended to `diagnostics` (and logged), never silently dropped. k = 2 is
+    rejected: no product of a single tuple prime can land in L_2 \\ L_1, and
+    semiprimes never do.
     """
     if k < 3:
         raise ValueError("theorem2_search requires k >= 3")
@@ -344,7 +410,7 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     spec = TupleSpec(a=a, b=b, s=s, m=m, n_min=n_range[0], n_max=n_range[-1],
                      window=(b, b + s))
     emitted = []
-    for cert in search_radimichael(spec, all_subsets=True, workers=workers):
+    for cert in _search(spec, True, workers, k):
         if cert.lehmer_index == k:
             emitted.append(cert)
         elif cert.sufficient_condition_held:

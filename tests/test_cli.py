@@ -2,11 +2,18 @@
 
 import io
 import json
+from dataclasses import replace
+from math import prod
 
 import pytest
 
 from radimichael.cli import main
-from radimichael.construct import certificate_from_line, verify_certificate
+from radimichael.construct import (
+    MAX_COMPONENT_BITS,
+    certificate_from_line,
+    certificate_to_line,
+    verify_certificate,
+)
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +158,16 @@ def test_theorem2_rejects_k2(capsys):
     assert code == 2 and "k >= 3" in err
 
 
+def test_searches_refuse_components_above_cap(capsys):
+    over = str(MAX_COMPONENT_BITS)  # 2^cap * 1 + 1 has cap + 1 bits
+    code, _, err = run_cli(capsys, "theorem2", "--a", "2", "--k", "3",
+                           "--s", over, "--n-max", "1")
+    assert code == 2 and "exceeds" in err
+    code, _, err = run_cli(capsys, "construct", "--a", "2", "--s", over,
+                           "--m", "2", "--n-max", "1")
+    assert code == 2 and "exceeds" in err
+
+
 def test_streams_are_deterministic(capsys):
     args = ("theorem2", "--a", "2", "--k", "3", "--s", "8", "--n-max", "40")
     first = run_cli(capsys, *args)
@@ -198,6 +215,28 @@ def test_verify_tampered_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "record 1: FAIL" in out
+
+
+def test_verify_refuses_records_above_component_cap(tmp_path, capsys):
+    path = _write_certs(capsys, tmp_path)
+    cert = certificate_from_line(path.read_text().splitlines()[0])
+
+    def record(l2):
+        # 2^l2 * n + 1 is divisible by 3 for n = 1 and odd l2: cheap to reject
+        primes = (3, 2**l2 + 1)
+        return certificate_to_line(replace(
+            cert, n=1, exponents=(1, l2), primes=primes, N=prod(primes)))
+
+    at_cap = record(MAX_COMPONENT_BITS - 1)
+    path.write_text(at_cap + "\n")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1 and "record 1: FAIL" in out
+
+    path.write_text(at_cap + "\n" + record(MAX_COMPONENT_BITS + 1) + "\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3
+    assert "record 2" in err and str(MAX_COMPONENT_BITS) in err
+    assert "FAIL" not in out  # refused before any record is verified
 
 
 def test_verify_empty_file(tmp_path, capsys):

@@ -262,6 +262,73 @@ def test_theorem2_sufficient_condition_bounds_index():
         assert cert.sufficient_condition_held and cert.lehmer_index != 3
 
 
+def _certify_everything_oracle(a, k, s, n_range, b, workers):
+    """theorem2 by certifying every size-(k-1) selection, then filtering."""
+    spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0],
+                     n_max=n_range[-1], window=(b, b + s))
+    certs = search_radimichael(spec, all_subsets=True, workers=workers)
+    emitted = [c for c in certs if c.lehmer_index == k]
+    held = [c for c in certs
+            if c.lehmer_index != k and c.sufficient_condition_held]
+    return emitted, held
+
+
+THEOREM2_RUNS = [
+    ((2, 3, 10, range(1, 301)), 0),
+    ((2, 4, 16, range(1, 301)), 0),
+    ((3, 5, 12, range(1, 201)), 4),
+    ((2, 3, 6, range(1, 400)), 12),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("args, b", THEOREM2_RUNS)
+def test_theorem2_matches_certify_everything_oracle(args, b, workers):
+    diagnostics = []
+    emitted = theorem2_search(*args, b=b, workers=workers,
+                              diagnostics=diagnostics)
+    assert (emitted, diagnostics) == _certify_everything_oracle(*args, b, workers)
+
+
+def test_theorem2_certifies_only_emitted_and_diagnostic_products(monkeypatch):
+    built = []
+    real_build = construct.build_radimichael
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "build_radimichael", counting_build)
+    for args, b in THEOREM2_RUNS:
+        built.clear()
+        diagnostics = []
+        emitted = theorem2_search(*args, b=b, diagnostics=diagnostics)
+        assert emitted
+        assert len(built) == len(emitted) + len(diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# component size cap
+# ---------------------------------------------------------------------------
+
+def test_tuple_spec_refuses_components_above_the_cap():
+    cap = construct.MAX_COMPONENT_BITS
+    # 2^(cap-1) * 1 + 1 has exactly cap bits
+    TupleSpec(a=2, b=0, s=cap - 1, m=2, n_min=1, n_max=1)
+    with pytest.raises(ValueError, match="exceeds"):
+        TupleSpec(a=2, b=0, s=cap, m=2, n_min=1, n_max=1)
+    with pytest.raises(ValueError, match="exceeds"):
+        TupleSpec(a=2, b=0, s=cap - 1, m=2, n_min=1, n_max=2)
+    # a huge window is refused without building a^hi
+    with pytest.raises(ValueError, match="exceeds"):
+        TupleSpec(a=3, b=0, s=10**15, m=2, n_min=1, n_max=1)
+
+
+def test_verify_rejects_huge_exponent_without_building_the_power():
+    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    assert not verify_certificate(replace(cert, exponents=(1, 10**9)))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

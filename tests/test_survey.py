@@ -252,6 +252,22 @@ def test_survey_peak_memory_within_budget_model():
     assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
 
+def test_survey_never_builds_the_trial_division_prime_table():
+    # the sieve needs odd primes up to isqrt(limit) only, not the 78,498
+    # primes below arith.TRIAL_LIMIT that factorize() trial-divides by
+    code = textwrap.dedent("""
+        from radimichael import arith
+        from radimichael.survey import survey
+        survey(10**6)
+        print(arith._prime_table_cache is None)
+    """)
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "True"
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
