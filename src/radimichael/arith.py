@@ -4,12 +4,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 U64_LIMIT = 1 << 64
 
-# Trial-division ceiling for factorize(); cofactors surviving the table go to Pollard-Brent.
-TRIAL_LIMIT = 10**6
+# factorize() trial-divides by the primes below TRIAL_LIMIT and hands any
+# cofactor of TRIAL_LIMIT**2 or more to Pollard-Brent.
+TRIAL_LIMIT = 1 << 14
+
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    sieve = bytearray(b"\x01") * limit
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return tuple(compress(range(limit), sieve))
+
+
+# Every prime below TRIAL_LIMIT, ascending; sieved once at import, never mutated.
+SMALL_PRIMES = _primes_below(TRIAL_LIMIT)
 
 # Strong-probable-prime rounds for n >= 2**64, on bases fixed by n alone.
 PROBABLE_ROUNDS = 30
@@ -46,7 +61,8 @@ _MR_TIERS = (
     (U64_LIMIT, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
-_TINY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# 2 .. 37: a number with none of these factors is coprime to every witness base
+_SCREEN_PRIMES = SMALL_PRIMES[:12]
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -136,7 +152,7 @@ def prime_verdict(n: int) -> PrimalityResult:
     """
     if n < 2:
         return PrimalityResult(False, False)
-    for p in _TINY_PRIMES:
+    for p in _SCREEN_PRIMES:
         if n % p == 0:
             return PrimalityResult(n == p, False)
     if n < 41 * 41:
@@ -175,24 +191,6 @@ def is_prime(n: int) -> bool:
 # factorization
 # ---------------------------------------------------------------------------
 
-_prime_table_cache: list[int] | None = None
-
-
-def prime_table() -> list[int]:
-    """All primes up to TRIAL_LIMIT (sieved once, cached)."""
-    global _prime_table_cache
-    if _prime_table_cache is None:
-        limit = TRIAL_LIMIT
-        sieve = bytearray(b"\x01") * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(limit) + 1):
-            if sieve[p]:
-                start = p * p
-                sieve[start:limit + 1:p] = b"\x00" * ((limit - start) // p + 1)
-        _prime_table_cache = [i for i, flag in enumerate(sieve) if flag]
-    return _prime_table_cache
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Prime-power decomposition of `value`, primes strictly increasing."""
@@ -225,7 +223,7 @@ class Factorization:
 
 
 def _pollard_brent(n: int) -> int:
-    """Return a nontrivial factor of odd composite n (no factors <= TRIAL_LIMIT).
+    """Return a nontrivial factor of odd composite n (no factors < TRIAL_LIMIT).
 
     Brent-cycle rho with batched gcds; the polynomial constant steps on
     failure, so the routine is deterministic.
@@ -257,7 +255,7 @@ def _pollard_brent(n: int) -> int:
 
 
 def _factor_hard(n: int, out: dict[int, int]) -> None:
-    # n > 1 with no prime factor <= TRIAL_LIMIT
+    # n > 1 with no prime factor < TRIAL_LIMIT
     stack = [n]
     while stack:
         m = stack.pop()
@@ -272,8 +270,8 @@ def _factor_hard(n: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> Factorization:
     """Full prime-power factorization of n (1 <= n < 2**64).
 
-    Trial division over the cached prime table, then Brent rho for any
-    surviving cofactor. Values at or above 2**64 raise FactorRangeError.
+    Trial division by SMALL_PRIMES, then Brent rho for a surviving cofactor
+    of TRIAL_LIMIT**2 or more. Values at or above 2**64 raise FactorRangeError.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -284,7 +282,7 @@ def factorize(n: int) -> Factorization:
 
     factors: dict[int, int] = {}
     m = n
-    for p in prime_table():
+    for p in SMALL_PRIMES:
         if p * p > m:
             break
         if m % p == 0:
@@ -293,13 +291,12 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             factors[p] = e
-    if m > 1:
-        # any m below TRIAL_LIMIT surviving the loop is prime (its smallest
-        # factor would have been hit before p*p exceeded m)
-        if m < TRIAL_LIMIT or prime_verdict(m).is_prime:
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            _factor_hard(m, factors)
+    # a cofactor below TRIAL_LIMIT**2 has no prime factor up to its square
+    # root, so it is prime
+    if 1 < m < TRIAL_LIMIT * TRIAL_LIMIT:
+        factors[m] = 1
+    elif m > 1:
+        _factor_hard(m, factors)
     return Factorization(n, tuple(sorted(factors.items())))
 
 

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--b", type=int, default=0,
-                   help="window shift; the window is exponents b..b+s")
+                   help="window shift; the window is exponents max(b, 1)..b+s")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--workers", type=_workers, default=1)

@@ -33,6 +33,10 @@ log = logging.getLogger(__name__)
 # rounds plus a strong Lucas test on a number of this size.
 MAX_COMPONENT_BITS = 2048
 
+# Largest bit length of a certificate's N: at most 4,300 decimal digits, the
+# default int <-> str limit, so its record can be written and read back.
+MAX_CERTIFICATE_BITS = (10**4300).bit_length() - 1
+
 
 class InsufficientHitsError(ValueError):
     """A tuple hit does not contain enough primes to build the request."""
@@ -46,8 +50,8 @@ class CertificateViolationError(RuntimeError):
 class TupleSpec:
     """Search parameters: primes of the form a^l * n + 1 for l in `window`.
 
-    The default window (b+1, b+s) has s slots; index-targeted searches use
-    (b, b+s) instead. Both bounds are inclusive.
+    The default window (b+1, b+s) has s slots; theorem2_search passes its
+    own. Both bounds are inclusive.
     """
     a: int
     b: int
@@ -71,20 +75,26 @@ class TupleSpec:
             raise ValueError(f"m={self.m} exceeds the {hi - lo + 1}-slot window")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
-        if _exceeds_component_cap(self.a, hi, self.n_max):
+        bits = _component_bits(self.a, hi, self.n_max)
+        if bits > MAX_COMPONENT_BITS:
             raise ValueError(f"largest component {self.a}^{hi} * {self.n_max} + 1 "
                              f"exceeds {MAX_COMPONENT_BITS} bits")
+        if self.m * bits > MAX_CERTIFICATE_BITS:
+            raise ValueError(f"{self.m} components of {bits} bits can exceed the "
+                             f"{MAX_CERTIFICATE_BITS}-bit (4,300 decimal digit) N cap")
 
 
-def _exceeds_component_cap(a: int, l: int, n: int) -> bool:
-    """Whether a^l * n + 1 has more than MAX_COMPONENT_BITS bits (a, n >= 1).
+def _component_bits(a: int, l: int, n: int) -> int:
+    """Bit length of a^l * n + 1 (a, n >= 1), or a lower bound for it that
+    exceeds MAX_COMPONENT_BITS.
 
     a^l * n >= 2^(l*(bits(a)-1) + bits(n)-1) decides a huge l before a^l is
     built, so the power computed below has at most about twice the cap.
     """
-    if l * (a.bit_length() - 1) + n.bit_length() - 1 >= MAX_COMPONENT_BITS:
-        return True
-    return (a**l * n + 1).bit_length() > MAX_COMPONENT_BITS
+    floor_bits = l * (a.bit_length() - 1) + n.bit_length()
+    if floor_bits > MAX_COMPONENT_BITS:
+        return floor_bits
+    return (a**l * n + 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -393,14 +403,15 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
                     ) -> list[RadimichaelCertificate]:
     """Hunt members of L_k \\ L_{k-1} with exactly k-1 prime factors.
 
-    Uses the window (b, b+s) and m = k-1. The exact index of every size-m
-    selection of primes per n is computed from valuations first, and only
-    products of index k, or with the sufficient condition sum(l_i - b) < b
-    held, are certified; certificates of index k are returned. Certificates
-    where the sufficient condition held but the index came out different are
-    appended to `diagnostics` (and logged), never silently dropped. k = 2 is
-    rejected: no product of a single tuple prime can land in L_2 \\ L_1, and
-    semiprimes never do.
+    Uses m = k-1 and the window (max(b, 1), b+s): exponent 0 is never
+    selectable, so at b = 0 the window has s slots, otherwise s+1. The
+    exact index of every size-m selection of primes per n is computed from
+    valuations first, and only products of index k, or with the sufficient
+    condition sum(l_i - b) < b held, are certified; certificates of index
+    k are returned. Certificates where the sufficient condition held but
+    the index came out different are appended to `diagnostics` (and
+    logged), never silently dropped. k = 2 is rejected: no product of a
+    single tuple prime can land in L_2 \\ L_1, and semiprimes never do.
     """
     if k < 3:
         raise ValueError("theorem2_search requires k >= 3")
@@ -408,7 +419,7 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
         return []
     m = k - 1
     spec = TupleSpec(a=a, b=b, s=s, m=m, n_min=n_range[0], n_max=n_range[-1],
-                     window=(b, b + s))
+                     window=(max(b, 1), b + s))
     emitted = []
     for cert in _search(spec, True, workers, k):
         if cert.lehmer_index == k:

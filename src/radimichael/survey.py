@@ -19,7 +19,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import Factorization
+from .arith import SMALL_PRIMES, Factorization
 from .classify import lehmer_index_from_factors
 
 DEFAULT_SEGMENT_SIZE = 1 << 20      # table entries per sieve/classify segment
@@ -79,20 +79,9 @@ class SpfTable:
         return Factorization(n, tuple(factors))
 
 
-def _odd_primes_to(bound: int) -> list[int]:
-    """The odd primes up to `bound`, by a plain sieve of Eratosthenes."""
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:3] = False
-    flags[4::2] = False
-    for p in range(3, isqrt(bound) + 1, 2):
-        if flags[p]:
-            flags[p * p::2 * p] = False
-    return np.flatnonzero(flags).tolist()
-
-
-def _sieve_into(entries: np.ndarray, lo: int, odd_primes: list[int]) -> None:
-    """Fill entries with smallest prime factors for [lo, lo+len), given the
-    odd primes up to at least isqrt(lo+len-1)."""
+def _sieve_into(entries: np.ndarray, lo: int) -> None:
+    """Fill entries with smallest prime factors for [lo, lo+len). SMALL_PRIMES
+    covers isqrt(SURVEY_LIMIT) = 10**4, so every base prime is there."""
     hi = lo + len(entries) - 1
     # evens first: spf 2 for every even n >= 2
     first_even = max(lo, 2)
@@ -100,7 +89,7 @@ def _sieve_into(entries: np.ndarray, lo: int, odd_primes: list[int]) -> None:
     if first_even <= hi:
         entries[first_even - lo::2] = 2
     root = isqrt(hi)
-    for p in odd_primes[:bisect_right(odd_primes, root)]:
+    for p in SMALL_PRIMES[1:bisect_right(SMALL_PRIMES, root)]:
         start = max(p * p, -(-lo // p) * p)
         if start % 2 == 0:  # only odd multiples; evens already owned by 2
             start += p
@@ -143,10 +132,9 @@ def build_spf(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
     _check_budget(_memory_charge(limit, segment_size, oddrad=False), memory_budget)
     width = limit + 1
     entries = np.zeros(width, dtype=np.uint32)
-    odd_primes = _odd_primes_to(isqrt(limit))
     for lo in range(0, width, segment_size):
         hi = min(lo + segment_size - 1, limit)
-        _sieve_into(entries[lo:hi + 1], lo, odd_primes)
+        _sieve_into(entries[lo:hi + 1], lo)
     return SpfTable(entries)
 
 

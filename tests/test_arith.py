@@ -6,6 +6,8 @@ from math import gcd, isqrt, lcm, prod
 import pytest
 
 from radimichael.arith import (
+    SMALL_PRIMES,
+    TRIAL_LIMIT,
     Factorization,
     FactorRangeError,
     U64_LIMIT,
@@ -170,6 +172,22 @@ def test_factorize_hard_cofactors():
     assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert factorize(p * p).factors == ((p, 2),)
     assert factorize(2 * p * q).factors == ((2, 1), (p, 1), (q, 1))
+
+
+def test_small_primes_are_every_prime_below_the_trial_limit():
+    assert SMALL_PRIMES == tuple(p for p in range(TRIAL_LIMIT) if trial_is_prime(p))
+
+
+def test_factorize_rho_path_just_above_the_trial_limit():
+    # factors in [TRIAL_LIMIT, 10**6) are found by Brent rho, not trial division
+    primes = [p for p in range(TRIAL_LIMIT, TRIAL_LIMIT + 600) if trial_is_prime(p)]
+    assert len(primes) > 50
+    for i, p in enumerate(primes):
+        for q in primes[i + 1:]:
+            assert factorize(p * q).factors == ((p, 1), (q, 1))
+        assert factorize(p**2).factors == ((p, 2),)
+        assert factorize(p**3).factors == ((p, 3),)
+        assert factorize(SMALL_PRIMES[-1] * p).factors == ((SMALL_PRIMES[-1], 1), (p, 1))
 
 
 def test_factorize_full_64bit_value():

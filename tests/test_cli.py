@@ -168,6 +168,18 @@ def test_searches_refuse_components_above_cap(capsys):
     assert code == 2 and "exceeds" in err
 
 
+def test_searches_refuse_certificates_over_the_digit_limit(capsys):
+    code, _, err = run_cli(capsys, "construct", "--a", "2", "--b", "2030",
+                           "--s", "17", "--m", "7", "--n-max", "1")
+    assert code == 2 and "4,300 decimal digit" in err
+
+
+def test_theorem2_refuses_selections_that_need_exponent_zero(capsys):
+    code, out, err = run_cli(capsys, "theorem2", "--a", "2", "--k", "18",
+                             "--s", "16", "--b", "0", "--n-max", "10")
+    assert code == 2 and out == "" and "exceeds" in err
+
+
 def test_streams_are_deterministic(capsys):
     args = ("theorem2", "--a", "2", "--k", "3", "--s", "8", "--n-max", "40")
     first = run_cli(capsys, *args)

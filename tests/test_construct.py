@@ -324,6 +324,38 @@ def test_tuple_spec_refuses_components_above_the_cap():
         TupleSpec(a=3, b=0, s=10**15, m=2, n_min=1, n_max=1)
 
 
+def test_tuple_spec_refuses_certificates_over_the_digit_limit():
+    limit = construct.MAX_CERTIFICATE_BITS
+    assert 2**limit < 10**4300 < 2**(limit + 1)
+    # components up to 2^2047 + 1: six fit, seven could give 14,336 bits
+    TupleSpec(a=2, b=2030, s=17, m=6, n_min=1, n_max=1)
+    with pytest.raises(ValueError, match="4,300 decimal digit"):
+        TupleSpec(a=2, b=2030, s=17, m=7, n_min=1, n_max=1)
+
+
+def test_theorem2_never_scans_exponent_zero(monkeypatch):
+    calls = []
+    real_verdict = construct.prime_verdict
+
+    def counting_verdict(n):
+        calls.append(n)
+        return real_verdict(n)
+
+    monkeypatch.setattr(construct, "prime_verdict", counting_verdict)
+    # b = 0: the window is 1..s, so s verdicts per n, plus the self-verify's
+    # m per certificate
+    certs = theorem2_search(2, 3, 10, range(1, 101))
+    assert certs
+    assert len(calls) == 100 * 10 + 2 * len(certs)
+    # b >= 1: exponent b is selectable, so the window keeps its s+1 slots
+    calls.clear()
+    certs = theorem2_search(2, 3, 6, range(1, 101), b=12)
+    assert len(calls) == 100 * 7 + 2 * len(certs)
+    # m = k-1 = s+1 selections need exponent 0 at b = 0: refused up front
+    with pytest.raises(ValueError, match="exceeds"):
+        theorem2_search(2, 18, 16, range(1, 2))
+
+
 def test_verify_rejects_huge_exponent_without_building_the_power():
     cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
     assert not verify_certificate(replace(cert, exponents=(1, 10**9)))

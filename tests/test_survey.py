@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import radimichael
-from radimichael.arith import factorize, radical
+from radimichael.arith import TRIAL_LIMIT, factorize, radical
 from radimichael.classify import classify
 from radimichael.survey import (
     DEFAULT_SEGMENT_SIZE,
     K_MAX_LIMIT,
+    SURVEY_LIMIT,
     MemoryBudgetError,
     SurveyReport,
     _memory_charge,
@@ -252,20 +253,24 @@ def test_survey_peak_memory_within_budget_model():
     assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
 
-def test_survey_never_builds_the_trial_division_prime_table():
-    # the sieve needs odd primes up to isqrt(limit) only, not the 78,498
-    # primes below arith.TRIAL_LIMIT that factorize() trial-divides by
+def test_first_factorize_builds_no_table_and_small_primes_cover_the_sieve():
+    # the primes factorize() trial-divides by are sieved at import, so a
+    # first call allocates only its result; they also hold every base prime
+    # of the spf sieve
     code = textwrap.dedent("""
-        from radimichael import arith
-        from radimichael.survey import survey
-        survey(10**6)
-        print(arith._prime_table_cache is None)
+        import tracemalloc
+        from radimichael.arith import factorize
+        tracemalloc.start()
+        factorize(2 * 4001)
+        print(tracemalloc.get_traced_memory()[1])
     """)
     src = str(Path(radimichael.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == "True"
+    peak = int(proc.stdout)
+    assert peak < 64 * 1024, f"first factorize call peaked at {peak} bytes"
+    assert isqrt(SURVEY_LIMIT) < TRIAL_LIMIT
 
 
 # ---------------------------------------------------------------------------
