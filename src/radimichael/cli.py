@@ -151,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
+    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
+                   help="odd integers per prime-count segment; one entry is "
+                        "one odd integer, one byte of sieve (default 2^20)")
     p.add_argument("--checkpoint", type=int, action="append",
                    help="custom checkpoint (repeatable; default powers of 10)")
     p.add_argument("--output", "-o", default=None)

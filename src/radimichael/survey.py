@@ -1,12 +1,30 @@
-"""Segmented smallest-prime-factor sieve and bulk classification counts.
+"""Exact class counts up to a limit, from an enumeration of the radimichael numbers.
 
-The survey walks every integer up to a limit, counts composites, Carmichael,
-radimichael, and L_k members at each checkpoint, and breaks radimichael
-counts down by number of distinct prime factors. A vectorised filter
-over the odd composites of each segment (spf chase against one read-only
-table, plus a table of odd radicals of p-1) leaves only the radimichael
-numbers, which the exact index kernel then classifies one by one. Segments
-are pure and merged in order, so output is identical for any worker count.
+A composite n is radimichael when rad(phi(n)) | n-1. Such an n is odd
+(phi(n) is even for n >= 3) and squarefree (a squared prime divides phi(n)
+but not n-1), so the condition reads rad(q-1) | n-1 for every prime q | n.
+Write n = p*c with p the largest prime of n. As p = 1 (mod rad(p-1)), the
+condition at p is rad(p-1) | c-1. With r = isqrt(limit), the survey finds
+every such n in two parts, from one spf table over [0, r]:
+
+- p > r, so c <= r. p-1 = d is built from the primes of c-1 only; each d
+  with r <= d < limit // c that meets the congruence the primes of c
+  impose gets one deterministic primality verdict on d+1.
+- p <= r. A depth-first search over descending primes carries the product
+  P of the primes taken and L = lcm rad(q-1) over them, pruning a prime q
+  that divides L or whose rad(q-1) meets P. The rest of n is a cofactor
+  c = P^-1 (mod L); once that progression is short, it is walked instead
+  of recursing, and a c above r is divided down into the table by the
+  primes below min(P).
+
+Composites up to a checkpoint x number x - 1 - pi(x), from a segmented
+odd-only prime count. Korselt, omega and the exact Lehmer index of each
+radimichael number come from its known primes: phi(n) = prod(q-1), and
+each q-1 is factored by the table, or is d, built from known primes. Every
+number is tallied into its checkpoint bucket as it is found. The work is
+split into units (c values, top-level primes and prime-count segments,
+interleaved) whose integer tallies are summed, so the report is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -15,23 +33,35 @@ import json
 import multiprocessing
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, prod
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .arith import SMALL_PRIMES, Factorization
+from .arith import SMALL_PRIMES, Factorization, prime_verdict, valuation
 from .classify import lehmer_index_from_factors
 
-DEFAULT_SEGMENT_SIZE = 1 << 20      # table entries per sieve/classify segment
-DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes; each uint32 table is 4 bytes per integer
+if TYPE_CHECKING:  # an import for annotations only: it costs the CLI 6 ms
+    from multiprocessing.connection import Connection
+
+DEFAULT_SEGMENT_SIZE = 1 << 20      # integers per build_spf segment; odd
+                                    # integers per survey prime-count segment
+DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
 DEFAULT_K_MAX = 8
 # cap on k_max: no n <= SURVEY_LIMIT has an index above 26, as phi(n) < 2**27
 K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
 
-# transient numpy scratch per segment entry: peak RSS over the two tables
-# measured 18-21 bytes per entry at the default segment size
-_SCRATCH_BYTES_PER_ENTRY = 24
+# Memory charges, from peak RSS growth measured on Linux (Python 3.11,
+# numpy 2.4): a first survey or build_spf call grows 0.5-0.7 MB whatever
+# its size; build_spf's segment scratch is 1.2-1.6 bytes per entry on top
+# of its 4-byte entries; a prime-count segment is a bool array, one byte
+# per odd integer; the survey's table and enumeration state take 170-190
+# bytes per integer of [0, isqrt(limit)] in each process.
+_BASE_BYTES = 1 << 20
+_SPF_SCRATCH_BYTES_PER_ENTRY = 2
+_COUNT_BYTES_PER_ENTRY = 1
+_PLAN_BYTES_PER_ROOT_ENTRY = 256
 
 
 class MemoryBudgetError(RuntimeError):
@@ -107,13 +137,12 @@ def _check_segment_size(segment_size: int) -> None:
         raise ValueError(f"segment size must be >= 1, got {segment_size}")
 
 
-def _memory_charge(limit: int, in_flight: int, *, oddrad: bool) -> int:
-    """Bytes for the uint32 spf table over [0, limit], the oddrad table over
-    [0, limit // 3] if `oddrad`, and the scratch of `in_flight` segment
-    entries (one segment per worker)."""
-    width = limit + 1
-    entries = width + (limit // 3 + 1 if oddrad else 0)
-    return 4 * entries + min(width, in_flight) * _SCRATCH_BYTES_PER_ENTRY
+def _memory_charge(limit: int, segment_size: int, workers: int = 1) -> int:
+    """Bytes for survey(limit): in each of `workers` processes, the table and
+    enumeration state over [0, isqrt(limit)] plus one prime-count segment."""
+    segment = min((limit + 1) // 2, segment_size) * _COUNT_BYTES_PER_ENTRY
+    return _BASE_BYTES + workers * (
+        _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1) + segment)
 
 
 def _check_budget(charge: int, memory_budget: int | None) -> None:
@@ -125,12 +154,13 @@ def _check_budget(charge: int, memory_budget: int | None) -> None:
 
 def build_spf(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
               memory_budget: int | None = None) -> SpfTable:
-    """Full table for [0, limit], sieved segment by segment."""
+    """Full table for [0, limit], sieved `segment_size` integers at a time."""
     if limit < 1 or limit > SURVEY_LIMIT:
         raise ValueError(f"need 1 <= limit <= {SURVEY_LIMIT}")
     _check_segment_size(segment_size)
-    _check_budget(_memory_charge(limit, segment_size, oddrad=False), memory_budget)
     width = limit + 1
+    _check_budget(_BASE_BYTES + 4 * width
+                  + min(width, segment_size) * _SPF_SCRATCH_BYTES_PER_ENTRY, memory_budget)
     entries = np.zeros(width, dtype=np.uint32)
     for lo in range(0, width, segment_size):
         hi = min(lo + segment_size - 1, limit)
@@ -176,105 +206,229 @@ def default_checkpoints(limit: int) -> list[int]:
     return points
 
 
-# rows of a segment's tally array, whose columns are checkpoint buckets;
+# rows of a work unit's tally array, whose columns are checkpoint buckets;
 # rows _HIST.. hold the index histogram, k = 1..k_max exact, then "> k_max"
-_COMPOSITES, _CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 3, 6
+_PRIMES, _CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 3, 6
+
+# the search walks a cofactor progression of at most this many terms
+# rather than recursing; 64 was fastest at 10**7 and within 20% at 10**8
+_WALK_TERMS = 64
 
 
-def build_oddrad(table: SpfTable, segment_size: int = DEFAULT_SEGMENT_SIZE
-                 ) -> np.ndarray:
-    """oddrad[p] = odd part of rad(p-1) for every odd prime p; 1 elsewhere.
-
-    The table stops at limit // 3, the largest prime factor an odd composite
-    up to the limit can have. The primes are chased through the spf table in
-    numpy, one segment at a time, so no temporary spans the whole table.
-    """
-    entries = table.entries
-    oddrad = np.ones(table.limit // 3 + 1, dtype=np.uint32)
-    for lo in range(3, len(oddrad), segment_size):
-        hi = min(lo + segment_size, len(oddrad))
-        odd = np.arange(lo | 1, hi, 2, dtype=np.uint32)
-        p = odd[entries[lo | 1:hi:2] == odd]
-        m = p - 1
-        m //= m & (~m + 1)  # divide out the lowest set bit: the odd part
-        r = np.ones_like(m)
-        q = entries[m]
-        while p.size:
-            m //= q
-            nxt = entries[m]
-            # each prime once, at the last step that divides it out
-            np.multiply(r, q, out=r, where=nxt != q)
-            done = nxt == 1
-            oddrad[p[done]] = r[done]
-            live = ~done
-            p, m, r, q = p[live], m[live], r[live], nxt[live]
-    return oddrad
+class _Plan(NamedTuple):
+    """What every work unit reads, all derived from the table over [0, root].
+    (A NamedTuple: creating a frozen dataclass costs the CLI 1-2 ms.)"""
+    limit: int
+    root: int
+    checkpoints: tuple[int, ...]
+    k_max: int
+    segment_size: int
+    table: SpfTable
+    primes: tuple[int, ...]                         # odd primes <= root
+    pm1: dict[int, tuple[tuple[int, int], ...]]     # q -> factors of q-1
+    rad: tuple[int, ...]                            # rad[q] = rad(q-1), q prime
+    # cofactors[c] = (lcm of rad(q-1) over q | c, largest prime of c, primes
+    # of c) for every odd c <= root that can divide a radimichael number:
+    # squarefree, coprime to that lcm, which is below the limit; else None
+    cofactors: tuple[tuple[int, int, tuple[int, ...]] | None, ...]
 
 
-def _radimichael_in(entries: np.ndarray, oddrad: np.ndarray,
-                    lo: int, hi: int) -> np.ndarray:
-    """The radimichael numbers in [lo, hi], in no particular order.
+def _plan(limit: int, checkpoints: list[int], k_max: int, segment_size: int,
+          memory_budget: int | None) -> _Plan:
+    root = isqrt(limit)
+    table = build_spf(root, memory_budget=memory_budget)
+    odd = np.arange(3, root + 1, 2)
+    primes = tuple(odd[table.entries[3::2] == odd].tolist())
+    pm1 = {q: table.factorize(q - 1).factors for q in primes}
+    rad = [0] * (root + 1)
+    for q in primes:
+        rad[q] = prod(f for f, _ in pm1[q])
+    cofactors: list = [None] * (root + 1)
+    cofactors[1] = (1, 1, ())
+    for c in range(3, root + 1, 2):
+        factors = table.factorize(c).factors
+        if any(e > 1 for _, e in factors):
+            continue
+        lcm = 1
+        for q, _ in factors:
+            lcm = lcm // gcd(lcm, rad[q]) * rad[q]
+        if lcm < limit and gcd(lcm, c) == 1:
+            cofactors[c] = (lcm, factors[-1][0], tuple(q for q, _ in factors))
+    return _Plan(limit, root, tuple(checkpoints), k_max, segment_size, table,
+                 primes, pm1, tuple(rad), tuple(cofactors))
 
-    Even composites never qualify: phi(n) is even for n >= 3, and 2 cannot
-    divide the odd n-1. An odd composite is chased p by p through the spf
-    table and dropped at a repeated p (a squared prime divides phi(n) but
-    not n-1) or when oddrad[p] does not divide n-1.
-    """
-    n = np.arange(lo | 1, hi + 1, 2, dtype=np.uint32)
-    q = entries[lo | 1:hi + 1:2]
-    composite = q != n  # the 0/1 sentinels and primes equal themselves
-    n, q = n[composite], q[composite]
-    m = n.copy()
-    found = []
-    while n.size:
-        m //= q
-        nxt = entries[m]
-        keep = (nxt != q) & ((n - 1) % oddrad[q] == 0)
-        done = nxt == 1
-        found.append(n[keep & done])
-        keep &= ~done
-        n, m, q = n[keep], m[keep], nxt[keep]
-    return np.concatenate(found) if found else n
+
+def _tally(counts: list[list[int]], plan: _Plan, n: int, ps: tuple[int, ...],
+           d_factors: tuple[tuple[int, int], ...] = ()) -> None:
+    """Count the radimichael number n with primes ps. phi(n) = prod(q-1):
+    each q <= root brings its table factors of q-1, and the one prime above
+    root, if any, is d+1 with d = prod of d_factors."""
+    phi = dict(d_factors)
+    for q in ps:
+        for f, e in plan.pm1.get(q, ()):
+            phi[f] = phi.get(f, 0) + e
+    nm1 = n - 1
+    bucket = bisect_left(plan.checkpoints, n)
+    counts[_RADIMICHAEL][bucket] += 1
+    counts[_OMEGA2 + min(len(ps), 4) - 2][bucket] += 1
+    if all(nm1 % (q - 1) == 0 for q in ps):  # Korselt, squarefree case
+        counts[_CARMICHAEL][bucket] += 1
+    k = lehmer_index_from_factors(phi.items(), nm1)
+    counts[_HIST + min(k, plan.k_max + 1) - 1][bucket] += 1
 
 
-def _segment_counts(table: SpfTable, oddrad: np.ndarray, checkpoints: list[int],
-                    k_max: int, lo: int, hi: int) -> np.ndarray:
-    """Per-segment tally array, bucketed by checkpoint interval."""
-    entries = table.entries
-    counts = np.zeros((_HIST + k_max + 1, len(checkpoints)), dtype=np.int64)
-    composite = entries[lo:hi + 1] != np.arange(lo, hi + 1, dtype=np.uint32)
-    start = lo
+def _large_prime_part(counts: list[list[int]], plan: _Plan, cs: list[int]) -> None:
+    """Every radimichael n = p*c with c in cs and prime p > root."""
+    limit, root = plan.limit, plan.root
+    for c in cs:
+        lcm, _, cps = plan.cofactors[c]
+        # p*c = 1 (mod lcm), so d = p-1 = c^-1 - 1 (mod lcm). lcm is
+        # squarefree, so a prime ell of both lcm and c-1 divides d exactly
+        # when it divides the residue: it is forced into d or kept out.
+        # 2 is always forced, as p is odd.
+        residue = (pow(c, -1, lcm) - 1) % lcm
+        ells = [f for f, _ in plan.table.factorize(c - 1).factors
+                if lcm % f or residue % f == 0]
+        ds = [prod(f for f in ells if lcm % f == 0)]
+        top = limit // c - 1
+        for ell in ells:
+            grown = []
+            for d in ds:
+                d *= ell
+                while d <= top:
+                    grown.append(d)
+                    d *= ell
+            ds += grown
+        for d in ds:
+            if d >= root and d % lcm == residue and prime_verdict(d + 1).is_prime:
+                d_factors = tuple((f, v) for f in ells if (v := valuation(f, d)))
+                _tally(counts, plan, c * (d + 1), cps + (d + 1,), d_factors)
+
+
+def _cofactor_primes(plan: _Plan, n: int, c: int, least: int
+                     ) -> tuple[int, ...] | None:
+    """The primes of c, if c is squarefree with every prime below `least`
+    and rad(q-1) | n-1 for each of them; else None."""
+    root, head = plan.root, ()
+    if c > root:  # divide out primes until the rest is in the table
+        for ell in plan.primes:
+            if ell >= least or ell * ell > c:
+                return None
+            if c % ell == 0:
+                c //= ell
+                if c % ell == 0 or (n - 1) % plan.rad[ell]:
+                    return None
+                head += (ell,)
+                if c <= root:
+                    break
+    entry = plan.cofactors[c]
+    if entry is None or entry[1] >= least or (n - 1) % entry[0]:
+        return None
+    return head + entry[2]
+
+
+def _small_prime_part(counts: list[list[int]], plan: _Plan, tops: list[int]) -> None:
+    """Every radimichael n whose largest prime is in tops (all <= root)."""
+    limit, primes, rad = plan.limit, plan.primes, plan.rad
+    for top in tops:
+        # n = P*c with L = lcm rad(q-1) over q | P dividing n-1, so
+        # c = P^-1 (mod L), and every prime of c lies below min(P)
+        stack = [(top, rad[top], (top,))]
+        while stack:
+            P, L, ps = stack.pop()
+            cmax = limit // P
+            if cmax // L <= _WALK_TERMS:
+                c = pow(P, -1, L)
+                if c == 1 and len(ps) == 1:  # n = P is prime
+                    c += L
+                for c in range(c, cmax + 1, L):
+                    cps = _cofactor_primes(plan, P * c, c, ps[-1])
+                    if cps is not None:
+                        _tally(counts, plan, P * c, ps + cps)
+                continue
+            if len(ps) > 1 and P % L == 1:
+                _tally(counts, plan, P, ps)
+            for q in primes[:bisect_left(primes, ps[-1])]:
+                if P * q > limit:
+                    break
+                rq = rad[q]
+                # q | L or a prime of P dividing rad(q-1) would divide both
+                # n and n-1
+                if L % q == 0 or gcd(rq, P) != 1:
+                    continue
+                L2 = L // gcd(L, rq) * rq
+                if L2 < limit:  # n = 1 (mod L2) and 1 < n <= limit
+                    stack.append((P * q, L2, ps + (q,)))
+
+
+def _count_primes(counts: list[list[int]], plan: _Plan, start: int, stop: int) -> None:
+    """Odd primes 2i+1 with start <= i < stop, per checkpoint bucket."""
+    lo, hi = 2 * start + 1, min(2 * stop - 1, plan.limit)
+    sieve = np.ones((hi - lo) // 2 + 1, dtype=bool)  # sieve[i]: lo + 2i
+    if lo == 1:
+        sieve[0] = False
+    primes = plan.primes
+    for p in primes[:bisect_right(primes, isqrt(hi))]:
+        first = max(p * p, -(-lo // p) * p)
+        if first % 2 == 0:
+            first += p
+        sieve[(first - lo) // 2::p] = False
+    checkpoints = plan.checkpoints
+    a = lo
     for bucket in range(bisect_left(checkpoints, lo), len(checkpoints)):
-        end = min(checkpoints[bucket], hi)
-        counts[_COMPOSITES, bucket] = np.count_nonzero(
-            composite[start - lo:end - lo + 1])
-        if end == hi:
+        b = min(checkpoints[bucket], hi)
+        counts[_PRIMES][bucket] += int(np.count_nonzero(
+            sieve[(a - lo + 1) // 2:(b - lo) // 2 + 1]))
+        if b == hi:
             break
-        start = end + 1
-
-    for n in _radimichael_in(entries, oddrad, lo, hi).tolist():
-        ps = [p for p, _ in table.factorize(n).factors]  # squarefree
-        nm1 = n - 1
-        bucket = bisect_left(checkpoints, n)
-        counts[_RADIMICHAEL, bucket] += 1
-        counts[_OMEGA2 + min(len(ps), 4) - 2, bucket] += 1
-        if all(nm1 % (p - 1) == 0 for p in ps):  # Korselt, squarefree case
-            counts[_CARMICHAEL, bucket] += 1
-        # exact minimal index; phi(n) = prod(p-1) < n lies in the table
-        phi = 1
-        for p in ps:
-            phi *= p - 1
-        k = lehmer_index_from_factors(table.factorize(phi).factors, nm1)
-        counts[_HIST + min(k, k_max + 1) - 1, bucket] += 1
-    return counts
+        a = b + 1
 
 
-# _segment_counts' leading arguments, set in each pool worker by its initializer
-_WORK: dict = {}
+def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
+    """Tallies of work unit `unit` of `units`: every units-th c value, top
+    prime and prime-count segment, starting at the unit-th."""
+    counts = [[0] * len(plan.checkpoints) for _ in range(_HIST + plan.k_max + 1)]
+    cs = [c for c in range(3, plan.limit // (plan.root + 1) + 1, 2)
+          if plan.cofactors[c]]
+    _large_prime_part(counts, plan, cs[unit::units])
+    _small_prime_part(counts, plan, list(plan.primes[unit::units]))
+    odd, size = (plan.limit + 1) // 2, plan.segment_size
+    for start in range(unit * size, odd, units * size):
+        _count_primes(counts, plan, start, min(start + size, odd))
+    return np.array(counts, dtype=np.int64)
 
 
-def _segment_worker(bounds: tuple[int, int]) -> np.ndarray:
-    return _segment_counts(*_WORK["args"], *bounds)
+def _unit_worker(sender: Connection, plan: _Plan, unit: int, units: int) -> None:
+    with sender:
+        sender.send(_unit_counts(plan, unit, units))
+
+
+def _forked_counts(ctx: multiprocessing.context.BaseContext, plan: _Plan,
+                   workers: int) -> np.ndarray:
+    """Summed tallies of `workers` units: forked children inherit the plan
+    and compute units 1.., each sending its tallies through a pipe, while
+    this process computes unit 0."""
+    children = []
+    try:
+        for unit in range(1, workers):
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_unit_worker, args=(sender, plan, unit, workers))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        total = _unit_counts(plan, 0, workers)
+        for _, receiver in children:
+            try:
+                total += receiver.recv()
+            except EOFError:
+                raise RuntimeError("a survey worker exited without its tallies") from None
+        return total
+    finally:
+        # every tally has arrived, or the survey failed: stop what is left
+        for child, receiver in children:
+            receiver.close()
+            child.terminate()
+            child.join()
 
 
 def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
@@ -283,11 +437,11 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
            memory_budget: int | None = None) -> SurveyReport:
     """Exact class counts for all integers up to `limit` (<= 10**8).
 
-    Every composite is classified from the spf table; per-segment tallies are
-    pure values summed in segment order, so the report is identical for any
-    `workers` setting. The spf and oddrad tables (4 + 4/3 bytes per integer)
-    plus one segment's scratch per worker are charged to `memory_budget` up
-    front.
+    `segment_size` is the number of odd integers in one prime-count
+    segment, a bool array of one byte each. The table over
+    [0, isqrt(limit)] and one segment per worker are charged to
+    `memory_budget` up front. Work units are pure and their integer
+    tallies are summed, so the report is identical for any `workers`.
     """
     if limit < 1:
         raise ValueError("survey requires limit >= 1")
@@ -307,35 +461,25 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     if not checkpoints:
         return SurveyReport(limit, k_max, ())
 
-    _check_budget(_memory_charge(limit, segment_size * max(workers, 1), oddrad=True),
-                  memory_budget)
-    table = build_spf(limit, segment_size=segment_size, memory_budget=memory_budget)
-    args = (table, build_oddrad(table, segment_size), checkpoints, k_max)
-    total = np.zeros((_HIST + k_max + 1, len(checkpoints)), dtype=np.int64)
-    segments = [(lo, min(lo + segment_size - 1, limit))
-                for lo in range(0, limit + 1, segment_size)]
-
+    _check_budget(_memory_charge(limit, segment_size, max(workers, 1)), memory_budget)
+    plan = _plan(limit, checkpoints, k_max, segment_size, memory_budget)
     ctx = None
-    if workers > 1 and len(segments) > 1:
+    if workers > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platform
             pass
-    if ctx is None:
-        for lo, hi in segments:
-            total += _segment_counts(*args, lo, hi)
-    else:
-        # forked workers inherit the tables; only the bounds are pickled
-        with ctx.Pool(workers, initializer=_WORK.update,
-                      initargs=({"args": args},)) as pool:
-            for part in pool.map(_segment_worker, segments):
-                total += part
+    total = (_unit_counts(plan, 0, 1) if ctx is None
+             else _forked_counts(ctx, plan, workers))
+    if limit >= 2:  # the even prime
+        total[_PRIMES, bisect_left(checkpoints, 2)] += 1
 
     running = total.cumsum(axis=1).tolist()  # cumulative over checkpoints
+    composites = [cp - 1 - pi for cp, pi in zip(checkpoints, running[_PRIMES])]
     lehmer = np.cumsum(running[_HIST:_HIST + k_max], axis=0).T.tolist()
     rows = [CheckpointRow(cp, comp, carm, radi, radi - carm, tuple(lk), o2, o3, o4)
             for cp, comp, carm, radi, o2, o3, o4, lk
-            in zip(checkpoints, *running[:_HIST], lehmer)]
+            in zip(checkpoints, composites, *running[1:_HIST], lehmer)]
     return SurveyReport(limit, k_max, tuple(rows))
 
 

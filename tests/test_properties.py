@@ -1,0 +1,48 @@
+"""Property-based tests, derandomized so that a failure reproduces."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radimichael.classify import classify
+from radimichael.survey import K_MAX_LIMIT, report_parse, report_write, survey
+
+WINDOW = 2 * 10**4
+
+
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(lo=st.integers(1, 10**7),
+       cuts=st.lists(st.integers(0, WINDOW), max_size=3))
+def test_survey_window_counts_equal_the_naive_loop(lo, cuts):
+    hi = lo + WINDOW
+    checkpoints = sorted({lo - 1, hi, *(lo + cut for cut in cuts)} - {0})
+    rows = survey(hi, checkpoints=checkpoints).rows
+    assert [row.checkpoint for row in rows] == checkpoints
+    base = rows[0] if checkpoints[0] == lo - 1 else None
+    classes = [classify(n) for n in range(lo, hi + 1)]
+    for row in rows:
+        if row is base:
+            continue
+        window = classes[:row.checkpoint - lo + 1]
+        radi = [c for c in window if c.radimichael]
+
+        def delta(field):
+            return getattr(row, field) - (getattr(base, field) if base else 0)
+
+        assert delta("composites") == sum(c.category == "composite" for c in window)
+        assert delta("carmichael") == sum(c.carmichael for c in window)
+        assert delta("radimichael") == len(radi)
+        assert delta("omega2") == sum(c.omega == 2 for c in radi)
+        assert delta("omega3") == sum(c.omega == 3 for c in radi)
+        assert delta("omega4plus") == sum(c.omega >= 4 for c in radi)
+        for k in range(1, len(row.lehmer) + 1):
+            below = base.lehmer[k - 1] if base else 0
+            assert row.lehmer[k - 1] - below == sum(c.lehmer_index <= k for c in radi)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(limit=st.integers(1, 10**5), k_max=st.integers(1, K_MAX_LIMIT),
+       fractions=st.lists(st.floats(0, 1), max_size=6))
+def test_json_lines_round_trip_for_random_checkpoints(limit, k_max, fractions):
+    checkpoints = [max(1, round(f * limit)) for f in fractions]
+    report = survey(limit, k_max, checkpoints=checkpoints)
+    assert report_parse(report_write(report, "json-lines")) == report

@@ -5,22 +5,24 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import accumulate
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import radimichael
-from radimichael.arith import TRIAL_LIMIT, factorize, radical
+from radimichael.arith import TRIAL_LIMIT, factorize
 from radimichael.classify import classify
 from radimichael.survey import (
+    DEFAULT_K_MAX,
     DEFAULT_SEGMENT_SIZE,
     K_MAX_LIMIT,
     SURVEY_LIMIT,
+    CheckpointRow,
     MemoryBudgetError,
     SurveyReport,
     _memory_charge,
-    build_oddrad,
     build_spf,
     default_checkpoints,
     report_parse,
@@ -92,19 +94,6 @@ def test_spf_factorize_matches_generic():
         assert table.factorize(n) == factorize(n)
     with pytest.raises(ValueError):
         table.factorize(20_001)
-
-
-def test_oddrad_is_odd_radical_of_p_minus_1_up_to_1e5():
-    table = build_spf(3 * 10**5 + 2)  # oddrad stops at limit // 3
-    for segment_size in (DEFAULT_SEGMENT_SIZE, 997):
-        oddrad = build_oddrad(table, segment_size)
-        assert len(oddrad) == 10**5 + 1
-        for n in range(10**5 + 1):
-            if n > 2 and table.is_prime(n):
-                r = radical(factorize(n - 1))
-                assert oddrad[n] == r // (r & -r), n  # odd part
-            else:
-                assert oddrad[n] == 1, n
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +169,48 @@ def test_survey_matches_naive_classify_loop_across_segment_edges():
         assert row.omega4plus == sum(c.omega >= 4 for c in radi)
 
 
+def naive_rows(limits, k_max=DEFAULT_K_MAX):
+    """The CheckpointRow at each x in limits, from the naive classify loop."""
+    wanted = sorted(set(limits))
+    rows = {}
+    comp = carm = radi = o2 = o3 = o4 = 0
+    hist = [0] * k_max  # hist[k-1]: radimichael numbers of index exactly k
+    for n in range(1, wanted[-1] + 1):
+        c = classify(n)
+        comp += c.category == "composite"
+        carm += c.carmichael
+        if c.radimichael:
+            radi += 1
+            o2 += c.omega == 2
+            o3 += c.omega == 3
+            o4 += c.omega >= 4
+            if c.lehmer_index <= k_max:
+                hist[c.lehmer_index - 1] += 1
+        if n == wanted[len(rows)]:
+            rows[n] = CheckpointRow(n, comp, carm, radi, radi - carm,
+                                    tuple(accumulate(hist)), o2, o3, o4)
+    return rows
+
+
+def test_survey_matches_naive_prefix_counts_at_every_limit_and_square_edges():
+    # the enumeration splits at p vs isqrt(limit), so every limit up to 2000
+    # and q^2 - 1, q^2, q^2 + 1 for odd primes q < 200 sit on both sides
+    squares = [x for q in range(3, 200, 2) if smallest_factor(q) == q
+               for x in (q * q - 1, q * q, q * q + 1)]
+    limits = list(range(2, 2001)) + squares
+    expected = naive_rows(limits)
+    for limit in limits:
+        assert survey(limit).rows[-1] == expected[limit], limit
+
+
+def test_survey_1e8_row_equals_the_full_sieve_survey():
+    # the row the full-length spf/oddrad sieve survey printed for 10^8
+    row = ("100000000,94238544,255,19329,19074,0,165,2511,5115,7957,10363,"
+           "12429,13909,4773,7561,6995")
+    csv = report_write(survey(10**8), "csv").decode()
+    assert csv.splitlines()[-1] == row
+
+
 def test_survey_row_invariants():
     report = survey(10**5)
     prev = None
@@ -249,7 +280,7 @@ def test_survey_peak_memory_within_budget_model():
                           text=True, check=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     growth = int(proc.stdout)
-    charge = _memory_charge(limit, DEFAULT_SEGMENT_SIZE, oddrad=True)
+    charge = _memory_charge(limit, DEFAULT_SEGMENT_SIZE)
     assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
 
