@@ -15,7 +15,6 @@ from . import arith, construct
 from .classify import classify
 from .survey import (
     DEFAULT_K_MAX,
-    DEFAULT_SEGMENT_SIZE,
     REPORT_FORMATS,
     MemoryBudgetError,
     report_write,
@@ -59,7 +58,6 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         args.limit,
         args.k_max,
         workers=args.workers,
-        segment_size=args.segment_size,
         checkpoints=args.checkpoint or None,
         memory_budget=int(budget) if budget else None,
     )
@@ -151,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--format", choices=REPORT_FORMATS, default="table")
     p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE,
-                   help="odd integers per prime-count segment; one entry is "
-                        "one odd integer, one byte of sieve (default 2^20)")
     p.add_argument("--checkpoint", type=int, action="append",
                    help="custom checkpoint (repeatable; default powers of 10)")
     p.add_argument("--output", "-o", default=None)

@@ -22,7 +22,6 @@ from .arith import (
     U64_LIMIT,
     factorize,
     prime_verdict,
-    radical,
 )
 from .classify import is_carmichael, is_k_lehmer, lehmer_index_from_factors
 
@@ -64,6 +63,9 @@ class TupleSpec:
     def __post_init__(self) -> None:
         if self.a < 2 or self.b < 0 or self.s < 1 or self.m < 2:
             raise ValueError("need a >= 2, b >= 0, s >= 1, m >= 2")
+        if self.a >= U64_LIMIT or self.n_max >= U64_LIMIT:
+            # a and every n are factored to certify a product
+            raise ValueError("need a < 2**64 and n_max < 2**64")
         if self.m > self.s + 1:
             raise ValueError(f"m={self.m} exceeds s+1={self.s + 1} window slots")
         if self.window is None:
@@ -284,7 +286,9 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
             return False
         if cert.gcd_a_n != gcd(a, n):
             return False
-        if cert.kappa_N != radical(factorize(a * n)):
+        # rad(a*n) from a and n apart: a*n itself may pass 2**64
+        if cert.kappa_N != prod({q for f in (factorize(a), factorize(n))
+                                 for q, _ in f.factors}):
             return False
         if (cert.N - 1) % cert.kappa_N != 0:
             return False
@@ -412,9 +416,12 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     the index came out different are appended to `diagnostics` (and
     logged), never silently dropped. k = 2 is rejected: no product of a
     single tuple prime can land in L_2 \\ L_1, and semiprimes never do.
+    `n_range` must have step 1.
     """
     if k < 3:
         raise ValueError("theorem2_search requires k >= 3")
+    if n_range.step != 1:
+        raise ValueError(f"n_range needs step 1, got {n_range.step}")
     if len(n_range) == 0:
         return []
     m = k - 1

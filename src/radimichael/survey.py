@@ -17,14 +17,14 @@ every such n in two parts, from one spf table over [0, r]:
   of recursing, and a c above r is divided down into the table by the
   primes below min(P).
 
-Composites up to a checkpoint x number x - 1 - pi(x), from a segmented
-odd-only prime count. Korselt, omega and the exact Lehmer index of each
-radimichael number come from its known primes: phi(n) = prod(q-1), and
-each q-1 is factored by the table, or is d, built from known primes. Every
-number is tallied into its checkpoint bucket as it is found. The work is
-split into units (c values, top-level primes and prime-count segments,
-interleaved) whose integer tallies are summed, so the report is identical
-for any worker count.
+Composites up to a checkpoint x number x - 1 - pi(x), from an odd-only
+prime count in segments of 2^20 odd integers. Korselt, omega and the exact
+Lehmer index of each radimichael number come from its known primes:
+phi(n) = prod(q-1), and each q-1 is factored by the table, or is d, built
+from known primes. Every number is tallied into its checkpoint bucket as
+it is found. The work is split into units (c values, top-level primes and
+prime-count segments, interleaved) whose integer tallies are summed, so
+the report is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -44,22 +44,24 @@ from .classify import lehmer_index_from_factors
 if TYPE_CHECKING:  # an import for annotations only: it costs the CLI 6 ms
     from multiprocessing.connection import Connection
 
-DEFAULT_SEGMENT_SIZE = 1 << 20      # integers per build_spf segment; odd
-                                    # integers per survey prime-count segment
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
 DEFAULT_K_MAX = 8
 # cap on k_max: no n <= SURVEY_LIMIT has an index above 26, as phi(n) < 2**27
 K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
+# odd integers per prime-count segment; read at call time, so a test can
+# shrink it to put segment edges inside a small survey
+_COUNT_SEGMENT = 1 << 20
 
 # Memory charges, from peak RSS growth measured on Linux (Python 3.11,
 # numpy 2.4): a first survey or build_spf call grows 0.5-0.7 MB whatever
-# its size; build_spf's segment scratch is 1.2-1.6 bytes per entry on top
-# of its 4-byte entries; a prime-count segment is a bool array, one byte
-# per odd integer; the survey's table and enumeration state take 170-190
-# bytes per integer of [0, isqrt(limit)] in each process.
+# its size; build_spf grows 5.6-5.8 bytes per entry at 10**6-10**8, its
+# 4-byte entries plus the zero mask and prime indices of its last step; a
+# prime-count segment is a bool array, one byte per odd integer; the
+# survey's table and enumeration state take 170-190 bytes per integer of
+# [0, isqrt(limit)] in each process.
 _BASE_BYTES = 1 << 20
-_SPF_SCRATCH_BYTES_PER_ENTRY = 2
+_SPF_BYTES_PER_ENTRY = 6
 _COUNT_BYTES_PER_ENTRY = 1
 _PLAN_BYTES_PER_ROOT_ENTRY = 256
 
@@ -89,9 +91,6 @@ class SpfTable:
             raise ValueError(f"{n} outside table range [0, {self.limit}]")
         return int(self.entries[n])
 
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and self.spf(n) == n
-
     def factorize(self, n: int) -> Factorization:
         """Factor n by chasing smallest prime factors."""
         if n < 1 or n > self.limit:
@@ -109,38 +108,15 @@ class SpfTable:
         return Factorization(n, tuple(factors))
 
 
-def _sieve_into(entries: np.ndarray, lo: int) -> None:
-    """Fill entries with smallest prime factors for [lo, lo+len). SMALL_PRIMES
-    covers isqrt(SURVEY_LIMIT) = 10**4, so every base prime is there."""
-    hi = lo + len(entries) - 1
-    # evens first: spf 2 for every even n >= 2
-    first_even = max(lo, 2)
-    first_even += first_even & 1
-    if first_even <= hi:
-        entries[first_even - lo::2] = 2
-    root = isqrt(hi)
-    for p in SMALL_PRIMES[1:bisect_right(SMALL_PRIMES, root)]:
-        start = max(p * p, -(-lo // p) * p)
-        if start % 2 == 0:  # only odd multiples; evens already owned by 2
-            start += p
-        if start > hi:
-            continue
-        view = entries[start - lo::2 * p]
-        view[view == 0] = p
-    # remaining zeros are primes (or the 0/1 sentinels)
-    idx = np.nonzero(entries == 0)[0]
-    entries[idx] = (idx + lo).astype(entries.dtype)
+def _spf_charge(limit: int) -> int:
+    """Bytes for build_spf(limit)."""
+    return _BASE_BYTES + _SPF_BYTES_PER_ENTRY * (limit + 1)
 
 
-def _check_segment_size(segment_size: int) -> None:
-    if segment_size < 1:
-        raise ValueError(f"segment size must be >= 1, got {segment_size}")
-
-
-def _memory_charge(limit: int, segment_size: int, workers: int = 1) -> int:
+def _memory_charge(limit: int, workers: int = 1) -> int:
     """Bytes for survey(limit): in each of `workers` processes, the table and
     enumeration state over [0, isqrt(limit)] plus one prime-count segment."""
-    segment = min((limit + 1) // 2, segment_size) * _COUNT_BYTES_PER_ENTRY
+    segment = min((limit + 1) // 2, _COUNT_SEGMENT) * _COUNT_BYTES_PER_ENTRY
     return _BASE_BYTES + workers * (
         _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1) + segment)
 
@@ -148,23 +124,24 @@ def _memory_charge(limit: int, segment_size: int, workers: int = 1) -> int:
 def _check_budget(charge: int, memory_budget: int | None) -> None:
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     if charge > budget:
-        raise MemoryBudgetError(f"tables plus segment scratch need {charge} bytes, "
+        raise MemoryBudgetError(f"tables plus scratch need {charge} bytes, "
                                 f"budget is {budget}")
 
 
-def build_spf(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE,
-              memory_budget: int | None = None) -> SpfTable:
-    """Full table for [0, limit], sieved `segment_size` integers at a time."""
+def build_spf(limit: int, *, memory_budget: int | None = None) -> SpfTable:
+    """Table for [0, limit], sieved in one pass. SMALL_PRIMES covers
+    isqrt(SURVEY_LIMIT) = 10**4, so every base prime is there."""
     if limit < 1 or limit > SURVEY_LIMIT:
         raise ValueError(f"need 1 <= limit <= {SURVEY_LIMIT}")
-    _check_segment_size(segment_size)
-    width = limit + 1
-    _check_budget(_BASE_BYTES + 4 * width
-                  + min(width, segment_size) * _SPF_SCRATCH_BYTES_PER_ENTRY, memory_budget)
-    entries = np.zeros(width, dtype=np.uint32)
-    for lo in range(0, width, segment_size):
-        hi = min(lo + segment_size - 1, limit)
-        _sieve_into(entries[lo:hi + 1], lo)
+    _check_budget(_spf_charge(limit), memory_budget)
+    entries = np.zeros(limit + 1, dtype=np.uint32)
+    entries[4::2] = 2
+    for p in SMALL_PRIMES[1:bisect_right(SMALL_PRIMES, isqrt(limit))]:
+        view = entries[p * p::2 * p]  # odd multiples; evens belong to 2
+        view[view == 0] = p
+    # remaining zeros are primes (or the 0/1 sentinels)
+    idx = np.flatnonzero(entries == 0)
+    entries[idx] = idx
     return SpfTable(entries)
 
 
@@ -222,7 +199,6 @@ class _Plan(NamedTuple):
     root: int
     checkpoints: tuple[int, ...]
     k_max: int
-    segment_size: int
     table: SpfTable
     primes: tuple[int, ...]                         # odd primes <= root
     pm1: dict[int, tuple[tuple[int, int], ...]]     # q -> factors of q-1
@@ -233,7 +209,7 @@ class _Plan(NamedTuple):
     cofactors: tuple[tuple[int, int, tuple[int, ...]] | None, ...]
 
 
-def _plan(limit: int, checkpoints: list[int], k_max: int, segment_size: int,
+def _plan(limit: int, checkpoints: list[int], k_max: int,
           memory_budget: int | None) -> _Plan:
     root = isqrt(limit)
     table = build_spf(root, memory_budget=memory_budget)
@@ -254,8 +230,8 @@ def _plan(limit: int, checkpoints: list[int], k_max: int, segment_size: int,
             lcm = lcm // gcd(lcm, rad[q]) * rad[q]
         if lcm < limit and gcd(lcm, c) == 1:
             cofactors[c] = (lcm, factors[-1][0], tuple(q for q, _ in factors))
-    return _Plan(limit, root, tuple(checkpoints), k_max, segment_size, table,
-                 primes, pm1, tuple(rad), tuple(cofactors))
+    return _Plan(limit, root, tuple(checkpoints), k_max, table, primes, pm1,
+                 tuple(rad), tuple(cofactors))
 
 
 def _tally(counts: list[list[int]], plan: _Plan, n: int, ps: tuple[int, ...],
@@ -392,7 +368,7 @@ def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
           if plan.cofactors[c]]
     _large_prime_part(counts, plan, cs[unit::units])
     _small_prime_part(counts, plan, list(plan.primes[unit::units]))
-    odd, size = (plan.limit + 1) // 2, plan.segment_size
+    odd, size = (plan.limit + 1) // 2, _COUNT_SEGMENT
     for start in range(unit * size, odd, units * size):
         _count_primes(counts, plan, start, min(start + size, odd))
     return np.array(counts, dtype=np.int64)
@@ -432,15 +408,13 @@ def _forked_counts(ctx: multiprocessing.context.BaseContext, plan: _Plan,
 
 
 def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
-           segment_size: int = DEFAULT_SEGMENT_SIZE,
            checkpoints: list[int] | None = None,
            memory_budget: int | None = None) -> SurveyReport:
     """Exact class counts for all integers up to `limit` (<= 10**8).
 
-    `segment_size` is the number of odd integers in one prime-count
-    segment, a bool array of one byte each. The table over
-    [0, isqrt(limit)] and one segment per worker are charged to
-    `memory_budget` up front. Work units are pure and their integer
+    The table over [0, isqrt(limit)] and, per worker, one prime-count
+    segment (2^20 odd integers, a bool array of one byte each) are charged
+    to `memory_budget` up front. Work units are pure and their integer
     tallies are summed, so the report is identical for any `workers`.
     """
     if limit < 1:
@@ -449,7 +423,6 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
         raise ValueError(f"survey limit capped at {SURVEY_LIMIT}")
     if not 1 <= k_max <= K_MAX_LIMIT:
         raise ValueError(f"k_max must lie in [1, {K_MAX_LIMIT}], got {k_max}")
-    _check_segment_size(segment_size)
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)
     else:
@@ -461,8 +434,8 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     if not checkpoints:
         return SurveyReport(limit, k_max, ())
 
-    _check_budget(_memory_charge(limit, segment_size, max(workers, 1)), memory_budget)
-    plan = _plan(limit, checkpoints, k_max, segment_size, memory_budget)
+    _check_budget(_memory_charge(limit, max(workers, 1)), memory_budget)
+    plan = _plan(limit, checkpoints, k_max, memory_budget)
     ctx = None
     if workers > 1:
         try:

@@ -92,11 +92,12 @@ def test_survey_output_file_and_worker_identity(tmp_path, capsys):
 
 
 def test_survey_rejects_bad_segment_size(capsys):
-    for size in ("0", "-5"):
-        code, out, err = run_cli(capsys, "survey", "--limit", "100",
-                                 "--segment-size", size)
-        assert code == 2 and out == ""
-        assert "segment size must be >= 1" in err
+    # the prime-count segment is fixed; the old flag is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--limit", "100", "--segment-size", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --segment-size" in captured.err
 
 
 def test_survey_rejects_k_max_above_cap(capsys):

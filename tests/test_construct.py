@@ -46,6 +46,12 @@ def test_tuple_spec_window_defaults_and_validation():
         TupleSpec(a=2, b=0, s=3, m=2, n_min=5, n_max=2)
     with pytest.raises(ValueError):
         TupleSpec(a=2, b=0, s=9, m=4, n_min=1, n_max=1, window=(1, 3))
+    # a and every n are factored, so each must lie below 2^64
+    TupleSpec(a=U64_LIMIT - 1, b=0, s=2, m=2, n_min=1, n_max=1)
+    TupleSpec(a=2, b=0, s=2, m=2, n_min=1, n_max=U64_LIMIT - 1)
+    for a, n_max in ((U64_LIMIT, 1), (2, U64_LIMIT)):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            TupleSpec(a=a, b=0, s=2, m=2, n_min=1, n_max=n_max)
 
 
 def test_scan_tuple_examples():
@@ -200,6 +206,19 @@ def test_probable_prime_certificates_are_flagged():
     assert verify_certificate(cert)
 
 
+def test_certificate_with_a_times_n_above_64_bits():
+    # a*n = 2^40 * 16777482 passes 2^64 although a and n are both below it;
+    # rad(a*n) comes from a and n apart, so the self-check holds
+    spec = TupleSpec(a=2**40, b=0, s=4, m=2, n_min=16777482, n_max=16777482)
+    assert spec.a * spec.n_max >= U64_LIMIT
+    [cert] = search_radimichael(spec)
+    assert cert.exponents == (1, 4)
+    assert cert.kappa_N == radical(factorize(16777482))
+    assert cert.lehmer_index == 5
+    assert verify_certificate(cert)
+    assert not verify_certificate(replace(cert, kappa_N=2 * cert.kappa_N))
+
+
 # ---------------------------------------------------------------------------
 # searches
 # ---------------------------------------------------------------------------
@@ -236,6 +255,15 @@ def test_theorem2_rejects_small_k_and_empty_range():
     with pytest.raises(ValueError):
         theorem2_search(2, 2, 10, range(1, 100))
     assert theorem2_search(2, 3, 10, range(5, 5)) == []
+
+
+def test_theorem2_refuses_a_stepped_range():
+    # the search covers [n_range[0], n_range[-1]], so a stepped range would
+    # also certify the n it skips
+    with pytest.raises(ValueError, match="step 1"):
+        theorem2_search(2, 3, 10, range(1, 60, 2))
+    with pytest.raises(ValueError, match="step 1"):
+        theorem2_search(2, 3, 10, range(59, 0, -1))
 
 
 def test_theorem2_k4_emits_verified_certificates():

@@ -12,17 +12,18 @@ from pathlib import Path
 import pytest
 
 import radimichael
+import radimichael.survey as survey_module
 from radimichael.arith import TRIAL_LIMIT, factorize
 from radimichael.classify import classify
 from radimichael.survey import (
     DEFAULT_K_MAX,
-    DEFAULT_SEGMENT_SIZE,
     K_MAX_LIMIT,
     SURVEY_LIMIT,
     CheckpointRow,
     MemoryBudgetError,
     SurveyReport,
     _memory_charge,
+    _spf_charge,
     build_spf,
     default_checkpoints,
     report_parse,
@@ -43,8 +44,7 @@ def smallest_factor(n):
 # ---------------------------------------------------------------------------
 
 def test_sieve_spf_first_decade():
-    # segments of 3 put boundaries at 3, 6 and 9, inside the checked range
-    table = build_spf(10, segment_size=3)
+    table = build_spf(10)
     assert {n: table.spf(n) for n in range(2, 11)} == {
         2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2}
 
@@ -53,39 +53,36 @@ def test_sieve_spf_named_values():
     table = build_spf(5000)
     assert table.spf(561) == 3
     assert table.spf(4369) == 17
-    assert table.is_prime(4373) == (smallest_factor(4373) == 4373)
+    assert (table.spf(4373) == 4373) == (smallest_factor(4373) == 4373)
 
 
 def test_sieve_spf_offset_segment_matches_trial_division():
-    # 1000 divides 1_000_000, so segments start at 999_000 and 1_000_000,
-    # and the window below straddles that boundary
+    # a window at the far end of a table of 10^6 + 51 entries
     lo, hi = 999_950, 1_000_050
-    table = build_spf(hi, segment_size=1000)
+    table = build_spf(hi)
     for n in range(lo, hi + 1):
         assert table.spf(n) == smallest_factor(n), n
 
 
 def test_sieve_spf_matches_full_table_across_bases():
+    # each limit sieves by the odd primes up to its square root, so limits
+    # at p^2 - 1, p^2 and p^2 + 1 add or drop a base prime
     full = build_spf(10_000)
-    for segment_size in (1, 7, 97, 128, 5000, 9999):
-        segmented = build_spf(10_000, segment_size=segment_size)
-        assert (segmented.entries == full.entries).all(), segment_size
+    for limit in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 97, 120, 121,
+                  128, 5000, 9408, 9409, 9999):
+        table = build_spf(limit)
+        assert (table.entries == full.entries[:limit + 1]).all(), limit
 
 
 def test_sieve_budget_enforced():
     with pytest.raises(MemoryBudgetError):
         build_spf(10**7, memory_budget=1000)
     with pytest.raises(MemoryBudgetError):
-        build_spf(10**7, segment_size=1 << 10, memory_budget=4 * 10**7)
+        build_spf(10**7, memory_budget=4 * 10**7)
     with pytest.raises(ValueError):
         build_spf(0)
     with pytest.raises(ValueError):
         build_spf(10**8 + 1)
-    for segment_size in (0, -5):
-        with pytest.raises(ValueError, match="segment size"):
-            build_spf(100, segment_size=segment_size)
-        with pytest.raises(ValueError, match="segment size"):
-            survey(100, segment_size=segment_size)
 
 
 def test_spf_factorize_matches_generic():
@@ -149,10 +146,11 @@ def test_survey_matches_naive_classify_loop_at_1e4():
                                      if c.radimichael and c.omega >= 4)
 
 
-def test_survey_matches_naive_classify_loop_across_segment_edges():
+def test_survey_matches_naive_classify_loop_across_segment_edges(monkeypatch):
     # segments of 1024 entries; checkpoints sit on both ends of segments
+    monkeypatch.setattr(survey_module, "_COUNT_SEGMENT", 1 << 10)
     edges = [1023, 1024, 2046, 2047, 5120, 10239, 10240, 20479, 29696]
-    report = survey(3 * 10**4, segment_size=1 << 10, checkpoints=edges)
+    report = survey(3 * 10**4, checkpoints=edges)
     assert [row.checkpoint for row in report.rows] == edges + [3 * 10**4]
     naive = [classify(n) for n in range(1, 3 * 10**4 + 1)]
     for row in report.rows:
@@ -245,19 +243,19 @@ def test_survey_k_max_cap():
         survey(100, k_max=K_MAX_LIMIT + 1)
 
 
-def test_survey_deterministic_across_workers_and_segments():
+def test_survey_deterministic_across_workers_and_segments(monkeypatch):
     base = report_write(survey(10**5), "csv")
     for workers in (2, 8):
         assert report_write(survey(10**5, workers=workers), "csv") == base
     for seg in (1 << 12, 1 << 14, 10**5 + 1):
-        assert report_write(survey(10**5, segment_size=seg), "csv") == base
-        assert report_write(survey(10**5, segment_size=seg, workers=2),
-                            "csv") == base
+        monkeypatch.setattr(survey_module, "_COUNT_SEGMENT", seg)
+        assert report_write(survey(10**5), "csv") == base
+        assert report_write(survey(10**5, workers=2), "csv") == base
 
 
-def test_survey_workers_1_2_4_byte_identical_with_small_segments():
-    outputs = {report_write(survey(10**5, workers=w, segment_size=1 << 12), "csv")
-               for w in (1, 2, 4)}
+def test_survey_workers_1_2_4_byte_identical_with_small_segments(monkeypatch):
+    monkeypatch.setattr(survey_module, "_COUNT_SEGMENT", 1 << 12)
+    outputs = {report_write(survey(10**5, workers=w), "csv") for w in (1, 2, 4)}
     assert len(outputs) == 1
 
 
@@ -280,7 +278,30 @@ def test_survey_peak_memory_within_budget_model():
                           text=True, check=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     growth = int(proc.stdout)
-    charge = _memory_charge(limit, DEFAULT_SEGMENT_SIZE)
+    charge = _memory_charge(limit)
+    assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
+
+
+def test_spf_peak_memory_within_budget_model():
+    pytest.importorskip("resource")
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
+    limit = 10**7
+    code = textwrap.dedent(f"""
+        import resource
+        import numpy
+        from radimichael.survey import build_spf
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        build_spf({limit})
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) * 1024)
+    """)
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    growth = int(proc.stdout)
+    charge = _spf_charge(limit)
     assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
 
