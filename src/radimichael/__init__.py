@@ -4,11 +4,9 @@ surveys, and certified constructions from geometric prime tuples."""
 from .arith import (
     Factorization,
     FactorRangeError,
-    PrimalityResult,
     carmichael_lambda,
     euler_phi,
     factorize,
-    is_prime,
     kappa,
     prime_verdict,
     radical,

@@ -38,15 +38,6 @@ class FactorRangeError(ValueError):
 # primality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimalityResult:
-    """Primality verdict. `probable` is True only when the verdict is a prime
-    call at or above 2**64, where the test is strong-probable-prime rather
-    than deterministic. Composite verdicts are always certain."""
-    is_prime: bool
-    probable: bool
-
-
 # Deterministic strong-pseudoprime witness tiers (published bounds).
 # Each base set has no strong pseudoprime below its threshold; the last set
 # is valid beyond 3.3e24, which covers all of [0, 2**64).
@@ -140,23 +131,22 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def prime_verdict(n: int) -> PrimalityResult:
-    """Classify n as prime/composite.
+def prime_verdict(n: int) -> bool:
+    """True iff n is prime.
 
     Below 2**64 the answer is exact (deterministic Miller-Rabin witness
-    tiers). At or above 2**64 a prime verdict is strong-probable-prime
+    tiers). At or above 2**64 a True is strong-probable-prime
     (PROBABLE_ROUNDS pseudo-random bases derived from n alone, plus a strong
-    Lucas check) and is flagged `probable`; composite verdicts are certain
-    either way. The bases depend on nothing but n, so any verifier
-    reproduces the producer's verdict exactly.
+    Lucas check); a False is certain either way. The bases depend on nothing
+    but n, so any verifier reproduces the producer's verdict exactly.
     """
     if n < 2:
-        return PrimalityResult(False, False)
+        return False
     for p in _SCREEN_PRIMES:
         if n % p == 0:
-            return PrimalityResult(n == p, False)
+            return n == p
     if n < 41 * 41:
-        return PrimalityResult(True, False)
+        return True
 
     if n < U64_LIMIT:
         for bound, bases in _MR_TIERS:
@@ -164,27 +154,20 @@ def prime_verdict(n: int) -> PrimalityResult:
                 break
         for a in bases:
             if not _strong_probable_prime(n, a):
-                return PrimalityResult(False, False)
-        return PrimalityResult(True, False)
+                return False
+        return True
 
     # n >= 2**64: probable-prime policy
     if not _strong_probable_prime(n, 2):
-        return PrimalityResult(False, False)
+        return False
     # keyed by n alone; the fixed "0" keeps the bases that existing
     # certificates were produced with
     rng = random.Random(f"spp:0:{n % (1 << 128)}:{n.bit_length()}")
     for _ in range(PROBABLE_ROUNDS):
         a = rng.randrange(2, n - 1)
         if not _strong_probable_prime(n, a):
-            return PrimalityResult(False, False)
-    if not _strong_lucas_probable_prime(n):
-        return PrimalityResult(False, False)
-    return PrimalityResult(True, True)
-
-
-def is_prime(n: int) -> bool:
-    """Primality predicate; exact below 2**64, strong-probable-prime above."""
-    return prime_verdict(n).is_prime
+            return False
+    return _strong_lucas_probable_prime(n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +242,7 @@ def _factor_hard(n: int, out: dict[int, int]) -> None:
     stack = [n]
     while stack:
         m = stack.pop()
-        if prime_verdict(m).is_prime:
+        if prime_verdict(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_brent(m)

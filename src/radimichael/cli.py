@@ -23,11 +23,16 @@ from .survey import (
 
 MEMORY_BUDGET_ENV = "RADIMICHAEL_MEMORY_BUDGET"
 
+# Upper bound on --workers: each worker is a forked process, so a typo such
+# as 100000 must be refused before any is started.
+MAX_WORKERS = 64
+
 
 def _workers(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [1, {MAX_WORKERS}], got {value}")
     return value
 
 

@@ -101,14 +101,10 @@ def _component_bits(a: int, l: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class TupleHit:
-    """Primes found in one scanned tuple: (exponent, prime) pairs, ascending.
-
-    probable[i] is the `probable` bit of the primality verdict for hits[i].
-    """
+    """Primes found in one scanned tuple: (exponent, prime) pairs, ascending."""
     spec: TupleSpec
     n: int
     hits: tuple[tuple[int, int], ...]
-    probable: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -143,15 +139,18 @@ def scan_tuple(spec: TupleSpec, n: int) -> TupleHit:
         raise ValueError(f"n={n} outside [{spec.n_min}, {spec.n_max}]")
     lo, hi = spec.window
     found = []
-    probable = []
     value = spec.a**lo * n
     for l in range(lo, hi + 1):
-        verdict = prime_verdict(value + 1)
-        if verdict.is_prime:
+        if prime_verdict(value + 1):
             found.append((l, value + 1))
-            probable.append(verdict.probable)
         value *= spec.a
-    return TupleHit(spec, n, tuple(found), tuple(probable))
+    return TupleHit(spec, n, tuple(found))
+
+
+def _probable(primes: Iterable[int]) -> bool:
+    """The probable_prime_flag rule: some component is at or above 2**64,
+    where a prime verdict is strong-probable-prime rather than exact."""
+    return any(p >= U64_LIMIT for p in primes)
 
 
 def _phi_valuations(a_factors, n_factors, exponent_sum: int, m: int
@@ -175,9 +174,8 @@ def build_radimichael(hit: TupleHit, m: int,
     selectable: the certificate identities need every p_i - 1 divisible by
     a*n). Pass `subset` (exponents) to certify a specific selection. The
     certificate is re-verified before being returned; a failure raises
-    CertificateViolationError rather than emitting a bad record. The
-    probable-prime flag comes from the scan's verdicts; only the self-check
-    tests primality again.
+    CertificateViolationError rather than emitting a bad record. Only the
+    self-check tests primality again.
     """
     spec = hit.spec
     usable = [(l, p) for l, p in hit.hits if l >= 1]
@@ -205,7 +203,6 @@ def build_radimichael(hit: TupleHit, m: int,
     modulus = a ** exponents[1] * n
     phi_vals = _phi_valuations(factorize(a).factors, factorize(n).factors,
                                sum(exponents), m)
-    probable = dict(zip(hit.hits, hit.probable))
 
     cert = RadimichaelCertificate(
         a=a,
@@ -219,7 +216,7 @@ def build_radimichael(hit: TupleHit, m: int,
         non_carmichael_modulus=modulus,
         non_carmichael_residue=big_n % modulus,
         sufficient_condition_held=sum(l - b for l in exponents) < b,
-        probable_prime_flag=any(probable[h] for h in chosen),
+        probable_prime_flag=_probable(primes),
         gcd_a_n=gcd(a, n),
     )
     if not verify_certificate(cert):
@@ -270,17 +267,14 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
             return False
         if cert.exponents[0] < 1:
             return False
-        probable = False
         for l, p in zip(cert.exponents, cert.primes):
             # a^l >= 2^(l*(bits(a)-1)), so a mismatch from a huge l is
             # decided before a^l is built
             if l * (a.bit_length() - 1) >= p.bit_length() or p != a**l * n + 1:
                 return False
-            verdict = prime_verdict(p)
-            if not verdict.is_prime:
+            if not prime_verdict(p):
                 return False
-            probable = probable or verdict.probable
-        if probable != cert.probable_prime_flag:
+        if _probable(cert.primes) != cert.probable_prime_flag:
             return False
         if cert.N != prod(cert.primes):
             return False

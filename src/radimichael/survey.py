@@ -209,10 +209,9 @@ class _Plan(NamedTuple):
     cofactors: tuple[tuple[int, int, tuple[int, ...]] | None, ...]
 
 
-def _plan(limit: int, checkpoints: list[int], k_max: int,
-          memory_budget: int | None) -> _Plan:
+def _plan(limit: int, checkpoints: list[int], k_max: int) -> _Plan:
     root = isqrt(limit)
-    table = build_spf(root, memory_budget=memory_budget)
+    table = build_spf(root)
     odd = np.arange(3, root + 1, 2)
     primes = tuple(odd[table.entries[3::2] == odd].tolist())
     pm1 = {q: table.factorize(q - 1).factors for q in primes}
@@ -276,7 +275,7 @@ def _large_prime_part(counts: list[list[int]], plan: _Plan, cs: list[int]) -> No
                     d *= ell
             ds += grown
         for d in ds:
-            if d >= root and d % lcm == residue and prime_verdict(d + 1).is_prime:
+            if d >= root and d % lcm == residue and prime_verdict(d + 1):
                 d_factors = tuple((f, v) for f in ells if (v := valuation(f, d)))
                 _tally(counts, plan, c * (d + 1), cps + (d + 1,), d_factors)
 
@@ -435,7 +434,7 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
         return SurveyReport(limit, k_max, ())
 
     _check_budget(_memory_charge(limit, max(workers, 1)), memory_budget)
-    plan = _plan(limit, checkpoints, k_max, memory_budget)
+    plan = _plan(limit, checkpoints, k_max)
     ctx = None
     if workers > 1:
         try:

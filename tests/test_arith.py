@@ -14,7 +14,6 @@ from radimichael.arith import (
     carmichael_lambda,
     euler_phi,
     factorize,
-    is_prime,
     kappa,
     prime_verdict,
     radical,
@@ -70,42 +69,38 @@ def lambda_by_orders(n):
 # ---------------------------------------------------------------------------
 
 def test_is_prime_examples():
-    assert is_prime(2)
-    assert not is_prime(561)  # 3 * 11 * 17
-    assert is_prime(257)
+    assert prime_verdict(2)
+    assert not prime_verdict(561)  # 3 * 11 * 17
+    assert prime_verdict(257)
 
 
 def test_is_prime_matches_trial_division_small():
     for n in range(200_000):
-        assert is_prime(n) == trial_is_prime(n), n
+        assert prime_verdict(n) == trial_is_prime(n), n
 
 
 def test_is_prime_matches_trial_division_random_large():
     rng = random.Random(42)
     for _ in range(300):
         n = rng.randrange(10**9, 10**10)
-        assert is_prime(n) == trial_is_prime(n), n
+        assert prime_verdict(n) == trial_is_prime(n), n
 
 
 def test_is_prime_strong_pseudoprime_traps():
     # composites famous for fooling small-base Fermat/Miller tests
     for a, b in [(23, 89), (29, 113), (151, 751)]:
-        assert not is_prime(a * b)
-    assert not is_prime(151 * 751 * 28351)  # 3215031751, spsp to 2,3,5,7
+        assert not prime_verdict(a * b)
+    assert not prime_verdict(151 * 751 * 28351)  # 3215031751, spsp to 2,3,5,7
     assert trial_is_prime(151) and trial_is_prime(751) and trial_is_prime(28351)
 
 
 def test_prime_verdict_probable_flag():
-    below = prime_verdict(2**61 - 1)
-    assert below.is_prime and not below.probable
-    above = prime_verdict(2**89 - 1)  # Mersenne prime, above 2**64
-    assert above.is_prime and above.probable
-    square = prime_verdict((2**61 - 1) ** 2)
-    assert not square.is_prime and not square.probable
+    # verdicts on both sides of 2**64, where the test turns probable
+    assert prime_verdict(2**61 - 1) is True
+    assert prime_verdict(2**89 - 1) is True  # Mersenne prime, above 2**64
+    assert prime_verdict((2**61 - 1) ** 2) is False
     # product of two witnessed primes above 2**32
-    p, q = 2**61 - 1, 2**89 - 1
-    comp = prime_verdict(p * q)
-    assert not comp.is_prime
+    assert prime_verdict((2**61 - 1) * (2**89 - 1)) is False
 
 
 def test_prime_verdict_deterministic():
@@ -115,8 +110,8 @@ def test_prime_verdict_deterministic():
     first = [prime_verdict(n) for n in ns]
     again = [prime_verdict(n) for n in reversed(ns)][::-1]
     assert first == again
+    assert first[:3] == [True, True, False]
     assert first[0] == first[1] == prime_verdict(2**89 - 1)
-    assert [v.is_prime for v in first] == [is_prime(n) for n in ns]
 
 
 def test_strong_lucas_component():
@@ -194,7 +189,7 @@ def test_factorize_full_64bit_value():
     f = factorize(U64_LIMIT - 1)
     assert prod(p**e for p, e in f.factors) == U64_LIMIT - 1
     assert all(trial_is_prime(p) for p, _ in f.factors if p < 10**7)
-    assert all(is_prime(p) for p, _ in f.factors)
+    assert all(prime_verdict(p) for p, _ in f.factors)
 
 
 def test_factorization_invariants():

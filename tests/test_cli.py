@@ -91,6 +91,28 @@ def test_survey_output_file_and_worker_identity(tmp_path, capsys):
     assert paths[0] == paths[1] == paths[2]
 
 
+def test_workers_above_cap_refused_before_any_command_runs(capsys, monkeypatch):
+    from radimichael import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("command ran despite a refused --workers")
+
+    monkeypatch.setattr(cli, "survey", never)
+    monkeypatch.setattr(cli.construct, "search_radimichael", never)
+    monkeypatch.setattr(cli.construct, "theorem2_search", never)
+    assert cli._workers(str(cli.MAX_WORKERS)) == cli.MAX_WORKERS
+    commands = (["survey", "--limit", "100"],
+                ["construct", "--a", "2", "--s", "4", "--m", "2", "--n-max", "10"],
+                ["theorem2", "--a", "2", "--k", "3", "--s", "4", "--n-max", "10"])
+    for argv in commands:
+        for workers in (str(cli.MAX_WORKERS + 1), "100000", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", workers])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert "--workers" in captured.err
+
+
 def test_survey_rejects_bad_segment_size(capsys):
     # the prime-count segment is fixed; the old flag is an unknown argument
     with pytest.raises(SystemExit) as exc:

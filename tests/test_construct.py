@@ -118,8 +118,8 @@ def test_build_explicit_subset():
 
 
 def test_build_tests_each_selected_prime_once(monkeypatch):
-    # the scan's verdicts supply the probable flag; the only primality tests
-    # during building are the self-verify's, one per selected prime
+    # the only primality tests during building are the self-verify's, one
+    # per selected prime
     hit = scan_tuple(spec_2_0_4(m=3), 1)
     calls = []
     inside_verify = [False]
@@ -204,6 +204,8 @@ def test_probable_prime_certificates_are_flagged():
     assert cert.probable_prime_flag
     assert cert.exponents == (65, 67)
     assert verify_certificate(cert)
+    # a component at or above 2^64 must carry the flag
+    assert not verify_certificate(replace(cert, probable_prime_flag=False))
 
 
 def test_certificate_with_a_times_n_above_64_bits():
