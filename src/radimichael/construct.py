@@ -147,12 +147,6 @@ def scan_tuple(spec: TupleSpec, n: int) -> TupleHit:
     return TupleHit(spec, n, tuple(found))
 
 
-def _probable(primes: Iterable[int]) -> bool:
-    """The probable_prime_flag rule: some component is at or above 2**64,
-    where a prime verdict is strong-probable-prime rather than exact."""
-    return any(p >= U64_LIMIT for p in primes)
-
-
 def _phi_valuations(a_factors, n_factors, exponent_sum: int, m: int
                     ) -> dict[int, int]:
     """Prime valuations of phi(N) for N a product of m tuple primes.
@@ -166,6 +160,38 @@ def _phi_valuations(a_factors, n_factors, exponent_sum: int, m: int
     return phi_vals
 
 
+def _certificate(a: int, b: int, n: int,
+                 exponents: tuple[int, ...]) -> RadimichaelCertificate:
+    """The certificate for a, b, n and the exponents, every field derived
+    from those four values and none tested for primality.
+
+    build_radimichael and verify_certificate both compare against it, so each
+    field is computed in this one place.
+    """
+    primes = tuple(a**l * n + 1 for l in exponents)
+    big_n = prod(primes)
+    modulus = primes[1] - 1
+    # rad(a*n) from a and n apart: a*n itself may pass 2**64
+    phi_vals = _phi_valuations(factorize(a).factors, factorize(n).factors,
+                               sum(exponents), len(exponents))
+    return RadimichaelCertificate(
+        a=a,
+        b=b,
+        n=n,
+        exponents=exponents,
+        primes=primes,
+        N=big_n,
+        kappa_N=prod(phi_vals),
+        lehmer_index=lehmer_index_from_factors(phi_vals.items(), big_n - 1),
+        non_carmichael_modulus=modulus,
+        non_carmichael_residue=big_n % modulus,
+        sufficient_condition_held=sum(l - b for l in exponents) < b,
+        # at or above 2**64 a prime verdict is strong-probable-prime, not exact
+        probable_prime_flag=any(p >= U64_LIMIT for p in primes),
+        gcd_a_n=gcd(a, n),
+    )
+
+
 def build_radimichael(hit: TupleHit, m: int,
                       subset: tuple[int, ...] | None = None) -> RadimichaelCertificate:
     """Certify the product of m primes from a tuple hit.
@@ -177,7 +203,6 @@ def build_radimichael(hit: TupleHit, m: int,
     CertificateViolationError rather than emitting a bad record. Only the
     self-check tests primality again.
     """
-    spec = hit.spec
     usable = [(l, p) for l, p in hit.hits if l >= 1]
     if subset is None:
         if len(usable) < m:
@@ -193,60 +218,38 @@ def build_radimichael(hit: TupleHit, m: int,
         except KeyError as exc:
             raise InsufficientHitsError(f"exponent {exc} not among usable hits") from exc
 
-    a, n, b = spec.a, hit.n, spec.b
-    exponents = tuple(l for l, _ in chosen)
-    primes = tuple(p for _, p in chosen)
-    for l, p in chosen:
-        if p != a**l * n + 1:
-            raise CertificateViolationError(f"hit entry {p} != {a}^{l}*{n}+1")
-    big_n = prod(primes)
-    modulus = a ** exponents[1] * n
-    phi_vals = _phi_valuations(factorize(a).factors, factorize(n).factors,
-                               sum(exponents), m)
-
-    cert = RadimichaelCertificate(
-        a=a,
-        b=b,
-        n=n,
-        exponents=exponents,
-        primes=primes,
-        N=big_n,
-        kappa_N=prod(phi_vals),
-        lehmer_index=lehmer_index_from_factors(phi_vals.items(), big_n - 1),
-        non_carmichael_modulus=modulus,
-        non_carmichael_residue=big_n % modulus,
-        sufficient_condition_held=sum(l - b for l in exponents) < b,
-        probable_prime_flag=_probable(primes),
-        gcd_a_n=gcd(a, n),
-    )
+    exponents, primes = zip(*chosen)
+    cert = _certificate(hit.spec.a, hit.spec.b, hit.n, exponents)
+    if cert.primes != primes:
+        raise CertificateViolationError(f"hit primes {primes} are not {cert.primes}")
     if not verify_certificate(cert):
-        raise CertificateViolationError(f"self-check failed for N={big_n}")
+        raise CertificateViolationError(f"self-check failed for N={cert.N}")
     return cert
 
 
 def non_carmichael_check(cert: RadimichaelCertificate) -> bool:
     """Confirm the witness that N is not Carmichael.
 
-    True iff N mod (a^{l_2} * n) equals p_1 and p_1 != 1; were N Carmichael,
-    Korselt would force that residue to be 1. For N below 2**64 the verdict
-    is additionally cross-checked against the Korselt test itself (an
-    independent route: lcm of p-1 instead of the residue argument). The
-    cross-check uses the certificate's listed primes; verify_certificate
-    establishes their primality and product before relying on this.
+    True iff the modulus is p_2 - 1 and N mod (p_2 - 1) is p_1 != 1; were
+    N Carmichael, Korselt would force that residue to be 1. For N below
+    2**64 the verdict is additionally cross-checked against the Korselt test
+    itself (an independent route: lcm of p-1 instead of the residue
+    argument). The cross-check uses the certificate's listed primes;
+    verify_certificate establishes their primality and product before
+    relying on this.
     """
     try:
-        p1 = cert.primes[0]
-        if cert.non_carmichael_modulus != cert.a ** cert.exponents[1] * cert.n:
+        p1, p2 = cert.primes[:2]
+        modulus, residue = cert.non_carmichael_modulus, cert.non_carmichael_residue
+        if modulus != p2 - 1 or cert.N % modulus != residue:
             return False
-        if cert.N % cert.non_carmichael_modulus != cert.non_carmichael_residue:
-            return False
-        if cert.non_carmichael_residue != p1 or p1 == 1:
+        if residue != p1 or p1 == 1:
             return False
         if cert.N < U64_LIMIT:
             f = Factorization(cert.N, tuple((p, 1) for p in cert.primes))
             if is_carmichael(cert.N, f):
                 return False
-    except (ValueError, TypeError, IndexError):
+    except (ValueError, TypeError, ZeroDivisionError):
         return False
     return True
 
@@ -254,59 +257,35 @@ def non_carmichael_check(cert: RadimichaelCertificate) -> bool:
 def verify_certificate(cert: RadimichaelCertificate) -> bool:
     """Re-verify a certificate from scratch; False on any discrepancy.
 
-    Checks primality of every component, the product, kappa(N) | N-1, the
-    non-Carmichael witness, the recorded bookkeeping fields, and the exact
-    Lehmer index via the big-integer divisibility oracle.
+    Every field must equal the one _certificate derives from a, b, n and the
+    exponents. Then every component must be prime, kappa(N) must divide
+    N-1, the non-Carmichael witness must hold, and the Lehmer index must
+    pass the big-integer divisibility oracle at k and fail it at k-1.
     """
     try:
-        a, b, n = cert.a, cert.b, cert.n
-        m = len(cert.primes)
-        if a < 2 or b < 0 or n < 1 or m < 2 or len(cert.exponents) != m:
+        a, n, exponents, primes = cert.a, cert.n, cert.exponents, cert.primes
+        if a < 2 or cert.b < 0 or n < 1 or len(primes) < 2:
             return False
-        if list(cert.exponents) != sorted(set(cert.exponents)):
+        if len(exponents) != len(primes) or exponents[0] < 1:
             return False
-        if cert.exponents[0] < 1:
+        if any(lo >= hi for lo, hi in zip(exponents, exponents[1:])):
             return False
-        for l, p in zip(cert.exponents, cert.primes):
-            # a^l >= 2^(l*(bits(a)-1)), so a mismatch from a huge l is
-            # decided before a^l is built
-            if l * (a.bit_length() - 1) >= p.bit_length() or p != a**l * n + 1:
-                return False
-            if not prime_verdict(p):
-                return False
-        if _probable(cert.primes) != cert.probable_prime_flag:
+        # a^l >= 2^(l*(bits(a)-1)), so a huge exponent is refused before
+        # a^l is built
+        if any(l * (a.bit_length() - 1) >= p.bit_length()
+               for l, p in zip(exponents, primes)):
             return False
-        if cert.N != prod(cert.primes):
+        if cert != _certificate(a, cert.b, n, exponents):
             return False
-        if cert.gcd_a_n != gcd(a, n):
+        if not all(prime_verdict(p) for p in primes):
             return False
-        # rad(a*n) from a and n apart: a*n itself may pass 2**64
-        if cert.kappa_N != prod({q for f in (factorize(a), factorize(n))
-                                 for q, _ in f.factors}):
-            return False
-        if (cert.N - 1) % cert.kappa_N != 0:
-            return False
-        if cert.N % (a * n) != 1:
-            return False
-        if not non_carmichael_check(cert):
-            return False
-        if cert.sufficient_condition_held != (sum(l - b for l in cert.exponents) < b):
+        if (cert.N - 1) % cert.kappa_N != 0 or not non_carmichael_check(cert):
             return False
         k = cert.lehmer_index
-        if not isinstance(k, int) or k < 1:
-            return False
-        # any true index is at most log2(phi(N)) < bits of N; larger claims
-        # are tampered and would make (N-1)**k explode
-        if k > cert.N.bit_length():
-            return False
-        f = Factorization(cert.N, tuple((p, 1) for p in cert.primes))
-        if not is_k_lehmer(cert.N, k, f):
-            return False
-        if k >= 2 and is_k_lehmer(cert.N, k - 1, f):
-            return False
+        f = Factorization(cert.N, tuple((p, 1) for p in primes))
+        return is_k_lehmer(cert.N, k, f) and not (k >= 2 and is_k_lehmer(cert.N, k - 1, f))
     except (ValueError, TypeError):
         return False
-    return True
 
 
 # ---------------------------------------------------------------------------

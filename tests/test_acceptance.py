@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines live.
 
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -247,13 +248,20 @@ def test_criterion_8_parallel_speedup(survey_1e7):
     if cpus < 2:
         pytest.skip("single-CPU host: a parallel run cannot beat one worker "
                     "here; multi-worker correctness is covered by criterion 7")
-    report, elapsed = survey_1e7
-    start = time.perf_counter()
-    parallel = survey(10**7, workers=min(4, cpus))
-    par_elapsed = time.perf_counter() - start
-    assert report_write(parallel, "csv") == report_write(report, "csv")
-    assert par_elapsed < elapsed, (
-        f"workers={min(4, cpus)} took {par_elapsed:.1f}s vs "
-        f"{elapsed:.1f}s on one worker")
-    _report("8-speedup", f"{elapsed:.1f}s on one worker vs "
-                         f"{par_elapsed:.1f}s with {min(4, cpus)} workers")
+    workers = min(4, cpus)
+    expected = report_write(survey_1e7[0], "csv")
+    # one run of about 0.1 s is decided by fork and scheduling noise, so
+    # compare medians of five runs each, taken in alternating order
+    times = {1: [], workers: []}
+    for _ in range(5):
+        for w in times:
+            start = time.perf_counter()
+            report = survey(10**7, workers=w)
+            times[w].append(time.perf_counter() - start)
+            assert report_write(report, "csv") == expected
+    serial, parallel = statistics.median(times[1]), statistics.median(times[workers])
+    assert parallel < serial, (
+        f"workers={workers} took a median {parallel:.2f}s vs "
+        f"{serial:.2f}s on one worker")
+    _report("8-speedup", f"median {serial:.2f}s on one worker vs "
+                         f"{parallel:.2f}s with {workers} workers")

@@ -1,9 +1,18 @@
 """Property-based tests, derandomized so that a failure reproduces."""
 
+from dataclasses import fields, replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radimichael.classify import classify
+from radimichael.construct import (
+    TupleSpec,
+    certificate_from_line,
+    certificate_to_line,
+    search_radimichael,
+    verify_certificate,
+)
 from radimichael.survey import K_MAX_LIMIT, report_parse, report_write, survey
 
 WINDOW = 2 * 10**4
@@ -46,3 +55,37 @@ def test_json_lines_round_trip_for_random_checkpoints(limit, k_max, fractions):
     checkpoints = [max(1, round(f * limit)) for f in fractions]
     report = survey(limit, k_max, checkpoints=checkpoints)
     assert report_parse(report_write(report, "json-lines")) == report
+
+
+# valid certificates of four kinds: three components, a base other than 2,
+# components at or above 2**64, and a*n at or above 2**64
+CERTIFICATES = [cert for spec in (
+    TupleSpec(a=2, b=0, s=8, m=3, n_min=1, n_max=30),
+    TupleSpec(a=3, b=2, s=6, m=2, n_min=1, n_max=20),
+    TupleSpec(a=2, b=64, s=8, m=2, n_min=9, n_max=9),
+    TupleSpec(a=2**40, b=0, s=4, m=2, n_min=16777482, n_max=16777482),
+) for cert in search_radimichael(spec)]
+CERT_FIELDS = [field.name for field in fields(CERTIFICATES[0])]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cert=st.sampled_from(CERTIFICATES), field=st.sampled_from(CERT_FIELDS),
+       shift=st.sampled_from([-3, -2, -1, 1, 2, 3]))
+def test_every_single_field_mutation_fails_verification(cert, field, shift):
+    value = getattr(cert, field)
+    if isinstance(value, bool):
+        value = not value
+    elif isinstance(value, tuple):
+        value = value[:-1] + (value[-1] + shift,)
+    else:
+        value += shift
+    mutant = replace(cert, **{field: value})
+    assert certificate_from_line(certificate_to_line(cert)) == cert
+    assert certificate_from_line(certificate_to_line(mutant)) == mutant
+    if field == "b":
+        # b is window bookkeeping: it only decides sufficient_condition_held
+        held = sum(l - value for l in cert.exponents) < value
+        expected = value >= 0 and held == cert.sufficient_condition_held
+    else:
+        expected = False
+    assert verify_certificate(mutant) == expected
