@@ -7,7 +7,6 @@ from .arith import (
     carmichael_lambda,
     euler_phi,
     factorize,
-    kappa,
     prime_verdict,
     radical,
     valuation,

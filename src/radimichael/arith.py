@@ -319,13 +319,6 @@ def radical(f: Factorization) -> int:
     return result
 
 
-def kappa(n: int) -> int:
-    """rad(phi(n)) for n >= 2; the squarefree kernel of the totient."""
-    if n < 2:
-        raise ValueError("kappa requires n >= 2")
-    return radical(factorize(euler_phi(factorize(n))))
-
-
 def valuation(q: int, n: int) -> int:
     """Largest e with q^e dividing n, for prime q and n >= 1."""
     if n == 0:

@@ -17,14 +17,15 @@ every such n in two parts, from one spf table over [0, r]:
   of recursing, and a c above r is divided down into the table by the
   primes below min(P).
 
-Composites up to a checkpoint x number x - 1 - pi(x), from an odd-only
-prime count in segments of 2^20 odd integers. Korselt, omega and the exact
-Lehmer index of each radimichael number come from its known primes:
-phi(n) = prod(q-1), and each q-1 is factored by the table, or is d, built
-from known primes. Every number is tallied into its checkpoint bucket as
-it is found. The work is split into units (c values, top-level primes and
-prime-count segments, interleaved) whose integer tallies are summed, so
-the report is identical for any worker count.
+Korselt, omega and the exact Lehmer index of each radimichael number come
+from its known primes: phi(n) = prod(q-1), and each q-1 is factored by the
+table, or is d, built from known primes. Every number is tallied into its
+checkpoint bucket as it is found. The work is split into units (c values
+and top-level primes, interleaved) whose integer tallies are summed, so
+the report is identical for any worker count. Composites up to a checkpoint
+x number x - 1 - pi(x): one prime count by Lucy's method, in O(limit^(3/4))
+time and O(isqrt(limit)) memory, gives pi at every limit // i, and any
+other checkpoint above isqrt(limit) takes a count of its own.
 """
 
 from __future__ import annotations
@@ -49,20 +50,16 @@ DEFAULT_K_MAX = 8
 # cap on k_max: no n <= SURVEY_LIMIT has an index above 26, as phi(n) < 2**27
 K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
-# odd integers per prime-count segment; read at call time, so a test can
-# shrink it to put segment edges inside a small survey
-_COUNT_SEGMENT = 1 << 20
 
 # Memory charges, from peak RSS growth measured on Linux (Python 3.11,
 # numpy 2.4): a first survey or build_spf call grows 0.5-0.7 MB whatever
 # its size; build_spf grows 5.6-5.8 bytes per entry at 10**6-10**8, its
-# 4-byte entries plus the zero mask and prime indices of its last step; a
-# prime-count segment is a bool array, one byte per odd integer; the
+# 4-byte entries plus the zero mask and prime indices of its last step; the
 # survey's table and enumeration state take 170-190 bytes per integer of
-# [0, isqrt(limit)] in each process.
+# [0, isqrt(limit)] in each process, and its prime counts peak at 32 more
+# (tracemalloc) in the calling process.
 _BASE_BYTES = 1 << 20
 _SPF_BYTES_PER_ENTRY = 6
-_COUNT_BYTES_PER_ENTRY = 1
 _PLAN_BYTES_PER_ROOT_ENTRY = 256
 
 
@@ -85,11 +82,6 @@ class SpfTable:
     @property
     def limit(self) -> int:
         return len(self.entries) - 1
-
-    def spf(self, n: int) -> int:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"{n} outside table range [0, {self.limit}]")
-        return int(self.entries[n])
 
     def factorize(self, n: int) -> Factorization:
         """Factor n by chasing smallest prime factors."""
@@ -115,10 +107,8 @@ def _spf_charge(limit: int) -> int:
 
 def _memory_charge(limit: int, workers: int = 1) -> int:
     """Bytes for survey(limit): in each of `workers` processes, the table and
-    enumeration state over [0, isqrt(limit)] plus one prime-count segment."""
-    segment = min((limit + 1) // 2, _COUNT_SEGMENT) * _COUNT_BYTES_PER_ENTRY
-    return _BASE_BYTES + workers * (
-        _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1) + segment)
+    enumeration state over [0, isqrt(limit)]."""
+    return _BASE_BYTES + workers * _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1)
 
 
 def _check_budget(charge: int, memory_budget: int | None) -> None:
@@ -174,18 +164,12 @@ def default_checkpoints(limit: int) -> list[int]:
     """Powers of 10 up to limit, with limit itself as the final checkpoint."""
     if limit < 2:
         return []
-    points = []
-    power = 10
-    while power < limit:
-        points.append(power)
-        power *= 10
-    points.append(limit)
-    return points
+    return [10**e for e in range(1, limit.bit_length()) if 10**e < limit] + [limit]
 
 
 # rows of a work unit's tally array, whose columns are checkpoint buckets;
 # rows _HIST.. hold the index histogram, k = 1..k_max exact, then "> k_max"
-_PRIMES, _CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 3, 6
+_CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 5
 
 # the search walks a cofactor progression of at most this many terms
 # rather than recursing; 64 was fastest at 10**7 and within 20% at 10**8
@@ -336,40 +320,45 @@ def _small_prime_part(counts: list[list[int]], plan: _Plan, tops: list[int]) -> 
                     stack.append((P * q, L2, ps + (q,)))
 
 
-def _count_primes(counts: list[list[int]], plan: _Plan, start: int, stop: int) -> None:
-    """Odd primes 2i+1 with start <= i < stop, per checkpoint bucket."""
-    lo, hi = 2 * start + 1, min(2 * stop - 1, plan.limit)
-    sieve = np.ones((hi - lo) // 2 + 1, dtype=bool)  # sieve[i]: lo + 2i
-    if lo == 1:
-        sieve[0] = False
-    primes = plan.primes
-    for p in primes[:bisect_right(primes, isqrt(hi))]:
-        first = max(p * p, -(-lo // p) * p)
-        if first % 2 == 0:
-            first += p
-        sieve[(first - lo) // 2::p] = False
-    checkpoints = plan.checkpoints
-    a = lo
-    for bucket in range(bisect_left(checkpoints, lo), len(checkpoints)):
-        b = min(checkpoints[bucket], hi)
-        counts[_PRIMES][bucket] += int(np.count_nonzero(
-            sieve[(a - lo + 1) // 2:(b - lo) // 2 + 1]))
-        if b == hi:
-            break
-        a = b + 1
+def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """pi at every x // i, by Lucy's method: small[v] = pi(v) for v <= r =
+    isqrt(x), and large[i] = pi(x // i) for 1 <= i <= r.
+
+    S(v) starts at v - 1. Each prime p <= r in turn applies S(v) -= S(v // p)
+    - S(p - 1) to every v >= p*p, dropping the composites whose least prime
+    is p. Every read sees the values from before p: large, which reads
+    small, goes first, and each right-hand side is computed before it is
+    assigned.
+    """
+    r = isqrt(x)
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
+    for p in range(2, r + 1):
+        below = small[p - 1]
+        if small[p] == below:  # p has a smaller prime factor
+            continue
+        # v = x // i for i <= x // p^2; v // p = x // (i*p) is large[i*p]
+        # while i*p <= r, else small[x // (i*p)]
+        top = min(r, x // (p * p))
+        mid = min(top, r // p)
+        large[1:mid + 1] -= large[p:mid * p + 1:p] - below
+        if mid < top:  # an empty numpy step still costs microseconds
+            large[mid + 1:top + 1] -= small[x // (np.arange(mid + 1, top + 1) * p)] - below
+        if p * p <= r:
+            small[p * p:] -= small[np.arange(p * p, r + 1) // p] - below
+    return small, large
 
 
 def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
-    """Tallies of work unit `unit` of `units`: every units-th c value, top
-    prime and prime-count segment, starting at the unit-th."""
+    """Tallies of work unit `unit` of `units`: every units-th c value and
+    top prime, starting at the unit-th."""
     counts = [[0] * len(plan.checkpoints) for _ in range(_HIST + plan.k_max + 1)]
     cs = [c for c in range(3, plan.limit // (plan.root + 1) + 1, 2)
           if plan.cofactors[c]]
     _large_prime_part(counts, plan, cs[unit::units])
     _small_prime_part(counts, plan, list(plan.primes[unit::units]))
-    odd, size = (plan.limit + 1) // 2, _COUNT_SEGMENT
-    for start in range(unit * size, odd, units * size):
-        _count_primes(counts, plan, start, min(start + size, odd))
     return np.array(counts, dtype=np.int64)
 
 
@@ -411,9 +400,9 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
            memory_budget: int | None = None) -> SurveyReport:
     """Exact class counts for all integers up to `limit` (<= 10**8).
 
-    The table over [0, isqrt(limit)] and, per worker, one prime-count
-    segment (2^20 odd integers, a bool array of one byte each) are charged
-    to `memory_budget` up front. Work units are pure and their integer
+    The table and enumeration state over [0, isqrt(limit)], in each of
+    `workers` processes, are charged to `memory_budget` up front; the prime
+    counts are taken in this process. Work units are pure and their integer
     tallies are summed, so the report is identical for any `workers`.
     """
     if limit < 1:
@@ -443,15 +432,17 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
             pass
     total = (_unit_counts(plan, 0, 1) if ctx is None
              else _forked_counts(ctx, plan, workers))
-    if limit >= 2:  # the even prime
-        total[_PRIMES, bisect_left(checkpoints, 2)] += 1
-
+    # pi at each checkpoint; one that is not limit // i needs its own count
+    small, large = _prime_counts(limit)
+    pis = [small[cp] if cp <= plan.root
+           else large[limit // cp] if limit // (limit // cp) == cp
+           else _prime_counts(cp)[1][1] for cp in checkpoints]
+    composites = [cp - 1 - int(pi) for cp, pi in zip(checkpoints, pis)]
     running = total.cumsum(axis=1).tolist()  # cumulative over checkpoints
-    composites = [cp - 1 - pi for cp, pi in zip(checkpoints, running[_PRIMES])]
     lehmer = np.cumsum(running[_HIST:_HIST + k_max], axis=0).T.tolist()
     rows = [CheckpointRow(cp, comp, carm, radi, radi - carm, tuple(lk), o2, o3, o4)
             for cp, comp, carm, radi, o2, o3, o4, lk
-            in zip(checkpoints, composites, *running[1:_HIST], lehmer)]
+            in zip(checkpoints, composites, *running[:_HIST], lehmer)]
     return SurveyReport(limit, k_max, tuple(rows))
 
 
@@ -534,5 +525,13 @@ def report_parse(data: bytes) -> SurveyReport:
     rows = []
     for line in lines[1:]:
         v = _int_record(line, _columns(k_max))
-        rows.append(CheckpointRow(*v[:5], tuple(v[5:5 + k_max]), *v[5 + k_max:]))
+        row = CheckpointRow(*v[:5], tuple(v[5:5 + k_max]), *v[5 + k_max:])
+        if (min(v) < 0
+                or row.radimichael_not_carmichael != row.radimichael - row.carmichael):
+            raise ValueError(f"report row with a negative or inconsistent count: {line}")
+        rows.append(row)
+    points = [0] + [row.checkpoint for row in rows]
+    if rows and (points[-1] != limit
+                 or any(a >= b for a, b in zip(points, points[1:]))):
+        raise ValueError("report checkpoints must increase strictly to the limit")
     return SurveyReport(limit, k_max, tuple(rows))

