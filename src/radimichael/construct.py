@@ -10,8 +10,6 @@ index from scratch.
 from __future__ import annotations
 
 import json
-import logging
-import multiprocessing
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
@@ -24,8 +22,6 @@ from .arith import (
     prime_verdict,
 )
 from .classify import is_carmichael, is_k_lehmer, lehmer_index_from_factors
-
-log = logging.getLogger(__name__)
 
 # Largest bit length of a tuple prime a^l * n + 1 that a spec may produce and
 # that `verify` will test. Verifying one component at the cap costs 30 SPRP
@@ -352,6 +348,7 @@ def _search(spec: TupleSpec, all_subsets: bool, workers: int,
     if workers <= 1 or spec.n_max == spec.n_min:
         return _search_chunk(spec, spec.n_min, spec.n_max, all_subsets, target)
     chunks = _chunk_ranges(spec.n_min, spec.n_max, workers * 4)
+    import multiprocessing  # a serial search never pays for the import
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-forking platform
@@ -405,8 +402,10 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
         if cert.lehmer_index == k:
             emitted.append(cert)
         elif cert.sufficient_condition_held:
-            log.warning("sufficient condition held but index=%s != %s for N=%s",
-                        cert.lehmer_index, k, cert.N)
+            import logging  # imported only on this unexpected path
+            logging.getLogger(__name__).warning(
+                "sufficient condition held but index=%s != %s for N=%s",
+                cert.lehmer_index, k, cert.N)
             if diagnostics is not None:
                 diagnostics.append(cert)
     return emitted

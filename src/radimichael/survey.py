@@ -15,34 +15,37 @@ every such n in two parts, from one spf table over [0, r]:
   that divides L or whose rad(q-1) meets P. The rest of n is a cofactor
   c = P^-1 (mod L); once that progression is short, it is walked instead
   of recursing, and a c above r is divided down into the table by the
-  primes below min(P).
+  primes below min(P). The search runs on numpy batches of nodes: the
+  inverses come from a vectorized extended Euclid, and every term is
+  checked against per-c arrays of the table.
 
-Korselt, omega and the exact Lehmer index of each radimichael number come
-from its known primes: phi(n) = prod(q-1), and each q-1 is factored by the
-table, or is d, built from known primes. Every number is tallied into its
-checkpoint bucket as it is found. The work is split into units (c values
-and top-level primes, interleaved) whose integer tallies are summed, so
-the report is identical for any worker count. Composites up to a checkpoint
-x number x - 1 - pi(x): one prime count by Lucy's method, in O(limit^(3/4))
-time and O(isqrt(limit)) memory, gives pi at every limit // i, and any
-other checkpoint above isqrt(limit) takes a count of its own.
+Each radimichael number is recorded as (n, phi(n), lambda(n), omega(n)),
+all known from its primes, and the records are tallied in batches: n is
+Carmichael iff lambda(n) | n-1, and its exact Lehmer index is the number
+of steps r -> r / gcd(r, n-1) that take phi(n) to 1. The work is split
+into units (c values and top-level primes, interleaved) whose integer
+tallies are summed, so the report is identical for any worker count.
+Composites up to a checkpoint x number x - 1 - pi(x): one prime count by
+Lucy's method, in O(limit^(3/4)) time and O(isqrt(limit)) memory, gives pi
+at every limit // i, and any other checkpoint above isqrt(limit) takes a
+count of its own.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import chain
+from math import isqrt, lcm, prod
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SMALL_PRIMES, Factorization, prime_verdict, valuation
-from .classify import lehmer_index_from_factors
+from .arith import SMALL_PRIMES, Factorization, prime_verdict
 
-if TYPE_CHECKING:  # an import for annotations only: it costs the CLI 6 ms
+if TYPE_CHECKING:  # for annotations only; survey() imports it when it forks
+    import multiprocessing
     from multiprocessing.connection import Connection
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
@@ -51,14 +54,19 @@ DEFAULT_K_MAX = 8
 K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
 
-# Memory charges, from peak RSS growth measured on Linux (Python 3.11,
-# numpy 2.4): a first survey or build_spf call grows 0.5-0.7 MB whatever
-# its size; build_spf grows 5.6-5.8 bytes per entry at 10**6-10**8, its
-# 4-byte entries plus the zero mask and prime indices of its last step; the
-# survey's table and enumeration state take 170-190 bytes per integer of
-# [0, isqrt(limit)] in each process, and its prime counts peak at 32 more
-# (tracemalloc) in the calling process.
+# Memory charges, from peak RSS (VmHWM) growth measured on Linux (Python
+# 3.11, numpy 2.4) with the package's bytecode cached; compiling it at import
+# instead frees heap that the first call reuses, which hides up to 1 MB.
+# build_spf grows 0.5-0.7 MB on a first call whatever its size, plus 5.6-5.8
+# bytes per entry at 10**6-10**8: its 4-byte entries and the zero mask and
+# prime indices of its last step. A survey grows 1.6 MB at 10**6, 2.2 MB at
+# 10**7 and 3.65-3.76 MB at 10**8: about 1.4 MB on a first call whatever the
+# limit, mostly the first touch of the numpy code the batched search runs,
+# plus 210-240 bytes per integer of [0, isqrt(limit)] in each process for
+# the table, the plan arrays and the search; the prime counts, taken
+# afterwards in the calling process, stay under that peak.
 _BASE_BYTES = 1 << 20
+_SURVEY_BASE_BYTES = 2 << 20
 _SPF_BYTES_PER_ENTRY = 6
 _PLAN_BYTES_PER_ROOT_ENTRY = 256
 
@@ -108,7 +116,8 @@ def _spf_charge(limit: int) -> int:
 def _memory_charge(limit: int, workers: int = 1) -> int:
     """Bytes for survey(limit): in each of `workers` processes, the table and
     enumeration state over [0, isqrt(limit)]."""
-    return _BASE_BYTES + workers * _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1)
+    return (_SURVEY_BASE_BYTES
+            + workers * _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1))
 
 
 def _check_budget(charge: int, memory_budget: int | None) -> None:
@@ -175,80 +184,108 @@ _CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 5
 # rather than recursing; 64 was fastest at 10**7 and within 20% at 10**8
 _WALK_TERMS = 64
 
+# the most child nodes or progression terms the search handles at once, and
+# the records a work unit gathers before it tallies them. 2048 was 12% faster
+# at 10**8, but its scratch put the CLI's peak RSS at 10**7 above that of the
+# per-number search it replaced; 4096 grew 1.85 MB at 10**7, the whole charge
+_BATCH = 1024
+
 
 class _Plan(NamedTuple):
     """What every work unit reads, all derived from the table over [0, root].
     (A NamedTuple: creating a frozen dataclass costs the CLI 1-2 ms.)"""
     limit: int
     root: int
-    checkpoints: tuple[int, ...]
+    checkpoints: np.ndarray
     k_max: int
     table: SpfTable
-    primes: tuple[int, ...]                         # odd primes <= root
-    pm1: dict[int, tuple[tuple[int, int], ...]]     # q -> factors of q-1
-    rad: tuple[int, ...]                            # rad[q] = rad(q-1), q prime
-    # cofactors[c] = (lcm of rad(q-1) over q | c, largest prime of c, primes
-    # of c) for every odd c <= root that can divide a radimichael number:
-    # squarefree, coprime to that lcm, which is below the limit; else None
-    cofactors: tuple[tuple[int, int, tuple[int, ...]] | None, ...]
+    primes: np.ndarray      # odd primes <= root, ascending
+    rad: np.ndarray         # rad[q] = rad(q-1), q prime
+    # cofactors[:, c] = (L, largest prime, phi(c), lambda(c), omega(c)), with
+    # L the lcm of rad(q-1) over q | c, for every c <= root that can divide a
+    # radimichael number: odd, squarefree and coprime to L; zeros for any other c
+    cofactors: np.ndarray
 
 
 def _plan(limit: int, checkpoints: list[int], k_max: int) -> _Plan:
     root = isqrt(limit)
     table = build_spf(root)
-    odd = np.arange(3, root + 1, 2)
-    primes = tuple(odd[table.entries[3::2] == odd].tolist())
-    pm1 = {q: table.factorize(q - 1).factors for q in primes}
-    rad = [0] * (root + 1)
-    for q in primes:
-        rad[q] = prod(f for f, _ in pm1[q])
-    cofactors: list = [None] * (root + 1)
-    cofactors[1] = (1, 1, ())
-    for c in range(3, root + 1, 2):
-        factors = table.factorize(c).factors
-        if any(e > 1 for _, e in factors):
-            continue
-        lcm = 1
-        for q, _ in factors:
-            lcm = lcm // gcd(lcm, rad[q]) * rad[q]
-        if lcm < limit and gcd(lcm, c) == 1:
-            cofactors[c] = (lcm, factors[-1][0], tuple(q for q, _ in factors))
-    return _Plan(limit, root, tuple(checkpoints), k_max, table, primes, pm1,
-                 tuple(rad), tuple(cofactors))
+    spf = table.entries
+    ints = np.arange(root + 1, dtype=np.int64)
+    primes = ints[3::2][spf[3::2] == ints[3::2]]
+    # both passes peel the primes of every integer from the table, least
+    # first, updating their arrays in place
+    rad = np.ones(root + 1, dtype=np.int64)  # rad(m), then shifted to rad(q-1)
+    m = np.maximum(ints, 1)
+    while (p := spf[m]).max() > 1:
+        rad *= p
+        while (div := (p > 1) & (m % p == 0)).any():
+            m[div] //= p[div]
+    rad[1:] = rad[:-1].copy()
+    cofactors = np.ones((5, root + 1), dtype=np.int64)
+    L, top, phi, lam, omega = cofactors
+    omega[:] = 0
+    squarefree = ints % 2 == 1
+    m = np.where(squarefree, ints, 1)
+    while (p := spf[m]).max() > 1:
+        live = p > 1
+        m //= p
+        repeated = live & (m % p == 0)
+        squarefree &= ~repeated
+        m[repeated] = 1
+        pm1 = np.where(live, p - 1, 1)
+        phi *= pm1
+        np.lcm(lam, pm1, out=lam)
+        np.lcm(L, rad[p], out=L)
+        np.maximum(top, p, out=top)
+        omega += live
+    # L | lambda(c) <= c <= root < limit, so no L reaches the limit
+    cofactors[:, ~squarefree | (np.gcd(L, ints) != 1)] = 0
+    return _Plan(limit, root, np.array(checkpoints, dtype=np.int64), k_max, table,
+                 primes, rad, cofactors)
 
 
-def _tally(counts: list[list[int]], plan: _Plan, n: int, ps: tuple[int, ...],
-           d_factors: tuple[tuple[int, int], ...] = ()) -> None:
-    """Count the radimichael number n with primes ps. phi(n) = prod(q-1):
-    each q <= root brings its table factors of q-1, and the one prime above
-    root, if any, is d+1 with d = prod of d_factors."""
-    phi = dict(d_factors)
-    for q in ps:
-        for f, e in plan.pm1.get(q, ()):
-            phi[f] = phi.get(f, 0) + e
+def _tally(counts: np.ndarray, plan: _Plan, records: np.ndarray) -> None:
+    """Add to counts the radimichael numbers whose rows in records are n,
+    phi(n), lambda(n) and omega(n).
+
+    n is squarefree, so it is Carmichael iff lambda(n) | n-1. Its Lehmer
+    index, the least k with phi(n) | (n-1)^k, is the number of steps
+    r -> r / gcd(r, n-1) that take r = phi(n) to 1: each step lowers every
+    v_q(r) by v_q(n-1), which is positive as rad(phi(n)) | n-1. Step k_max+1
+    stands for every index above k_max.
+    """
+    n, phi, lam, omega = records
     nm1 = n - 1
-    bucket = bisect_left(plan.checkpoints, n)
-    counts[_RADIMICHAEL][bucket] += 1
-    counts[_OMEGA2 + min(len(ps), 4) - 2][bucket] += 1
-    if all(nm1 % (q - 1) == 0 for q in ps):  # Korselt, squarefree case
-        counts[_CARMICHAEL][bucket] += 1
-    k = lehmer_index_from_factors(phi.items(), nm1)
-    counts[_HIST + min(k, plan.k_max + 1) - 1][bucket] += 1
+    index = np.zeros_like(n)
+    r = phi
+    for _ in range(plan.k_max + 1):
+        live = r > 1
+        if not live.any():
+            break
+        index += live
+        r = r // np.gcd(r, nm1)
+    bucket = np.searchsorted(plan.checkpoints, n)
+    width = len(plan.checkpoints)
+    cells = np.concatenate((bucket + _RADIMICHAEL * width,
+                            bucket[nm1 % lam == 0] + _CARMICHAEL * width,
+                            bucket + (_OMEGA2 - 2 + np.minimum(omega, 4)) * width,
+                            bucket + (_HIST - 1 + index) * width))
+    counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
 
 
-def _large_prime_part(counts: list[list[int]], plan: _Plan, cs: list[int]) -> None:
-    """Every radimichael n = p*c with c in cs and prime p > root."""
+def _large_prime_part(plan: _Plan, cs: list[int]) -> Iterator[np.ndarray]:
+    """Records of every radimichael n = p*c with c in cs and prime p > root."""
     limit, root = plan.limit, plan.root
-    for c in cs:
-        lcm, _, cps = plan.cofactors[c]
-        # p*c = 1 (mod lcm), so d = p-1 = c^-1 - 1 (mod lcm). lcm is
-        # squarefree, so a prime ell of both lcm and c-1 divides d exactly
-        # when it divides the residue: it is forced into d or kept out.
-        # 2 is always forced, as p is odd.
-        residue = (pow(c, -1, lcm) - 1) % lcm
+    for c, (L, _, phi, lam, omega) in zip(cs, plan.cofactors[:, cs].T.tolist()):
+        # p*c = 1 (mod L), so d = p-1 = c^-1 - 1 (mod L). L is squarefree,
+        # so a prime ell of both L and c-1 divides d exactly when it divides
+        # the residue: it is forced into d or kept out. 2 is always forced,
+        # as p is odd.
+        residue = (pow(c, -1, L) - 1) % L
         ells = [f for f, _ in plan.table.factorize(c - 1).factors
-                if lcm % f or residue % f == 0]
-        ds = [prod(f for f in ells if lcm % f == 0)]
+                if L % f or residue % f == 0]
+        ds = [prod(f for f in ells if L % f == 0)]
         top = limit // c - 1
         for ell in ells:
             grown = []
@@ -258,66 +295,123 @@ def _large_prime_part(counts: list[list[int]], plan: _Plan, cs: list[int]) -> No
                     grown.append(d)
                     d *= ell
             ds += grown
-        for d in ds:
-            if d >= root and d % lcm == residue and prime_verdict(d + 1):
-                d_factors = tuple((f, v) for f in ells if (v := valuation(f, d)))
-                _tally(counts, plan, c * (d + 1), cps + (d + 1,), d_factors)
+        found = [(c * (d + 1), phi * d, lcm(lam, d), omega + 1) for d in ds
+                 if d >= root and d % L == residue and prime_verdict(d + 1)]
+        if found:
+            yield np.array(found, dtype=np.int64).T
 
 
-def _cofactor_primes(plan: _Plan, n: int, c: int, least: int
-                     ) -> tuple[int, ...] | None:
-    """The primes of c, if c is squarefree with every prime below `least`
-    and rad(q-1) | n-1 for each of them; else None."""
-    root, head = plan.root, ()
-    if c > root:  # divide out primes until the rest is in the table
-        for ell in plan.primes:
-            if ell >= least or ell * ell > c:
-                return None
-            if c % ell == 0:
-                c //= ell
-                if c % ell == 0 or (n - 1) % plan.rad[ell]:
-                    return None
-                head += (ell,)
-                if c <= root:
-                    break
-    entry = plan.cofactors[c]
-    if entry is None or entry[1] >= least or (n - 1) % entry[0]:
-        return None
-    return head + entry[2]
+def _inverse(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a^-1 (mod m) for each coprime pair, by the extended Euclidean
+    algorithm on int64 arrays; a pair drops out when its remainder is 0."""
+    r0, r1 = m.copy(), a % m
+    s0, s1 = np.zeros_like(r1), np.ones_like(r1)
+    live = np.flatnonzero(r1)
+    while live.size:
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        s0[live], s1[live] = s1[live], s0[live] - q * s1[live]
+        live = live[r1[live] != 0]
+    return s0 % m
 
 
-def _small_prime_part(counts: list[list[int]], plan: _Plan, tops: list[int]) -> None:
-    """Every radimichael n whose largest prime is in tops (all <= root)."""
-    limit, primes, rad = plan.limit, plan.primes, plan.rad
-    for top in tops:
-        # n = P*c with L = lcm rad(q-1) over q | P dividing n-1, so
-        # c = P^-1 (mod L), and every prime of c lies below min(P)
-        stack = [(top, rad[top], (top,))]
-        while stack:
-            P, L, ps = stack.pop()
-            cmax = limit // P
-            if cmax // L <= _WALK_TERMS:
-                c = pow(P, -1, L)
-                if c == 1 and len(ps) == 1:  # n = P is prime
-                    c += L
-                for c in range(c, cmax + 1, L):
-                    cps = _cofactor_primes(plan, P * c, c, ps[-1])
-                    if cps is not None:
-                        _tally(counts, plan, P * c, ps + cps)
-                continue
-            if len(ps) > 1 and P % L == 1:
-                _tally(counts, plan, P, ps)
-            for q in primes[:bisect_left(primes, ps[-1])]:
-                if P * q > limit:
-                    break
-                rq = rad[q]
-                # q | L or a prime of P dividing rad(q-1) would divide both
-                # n and n-1
-                if L % q == 0 or gcd(rq, P) != 1:
+def _spread(sizes: np.ndarray, done: int) -> tuple[np.ndarray, np.ndarray]:
+    """Items done.. of nodes holding sizes[i] items each, at most _BATCH of
+    them: the node of each item and its index within the node."""
+    ends = np.cumsum(sizes)
+    item = np.arange(done, min(done + _BATCH, int(ends[-1])))
+    node = np.searchsorted(ends, item, side="right")
+    return node, item - (ends - sizes)[node]
+
+
+def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
+    """Records of every radimichael n = P*c over leaf nodes, whose
+    progressions c = P^-1 (mod L), c <= limit // P, are short. A term c is
+    kept if it is squarefree, every prime of it lies below least and
+    rad(q-1) | n-1 for each of them."""
+    limit, root, primes, rad = plan.limit, plan.root, plan.primes, plan.rad
+    c0 = _inverse(nodes[0], nodes[1])
+    c0 += np.where((c0 == 1) & (nodes[4] == 1), nodes[1], 0)  # c = 1 makes n = P prime
+    terms = np.maximum((limit // nodes[0] - c0) // nodes[1] + 1, 0)
+    for done in range(0, int(terms.sum()), _BATCH):
+        node, k = _spread(terms, done)
+        rest = c0[node] + nodes[1, node] * k  # the term c, then what is left of it
+        nm1 = nodes[0, node] * rest - 1
+        least = nodes[5, node]
+        # divide the primes out of a c above root, least first, until the
+        # rest is in the table; head holds phi, lambda and omega of them. A
+        # rest above root after every prime below least and sqrt(c) has a
+        # prime at least `least`.
+        ok = np.ones(len(rest), dtype=bool)
+        head = np.ones((3, len(rest)), dtype=np.int64)
+        head[2] = 0
+        big = np.flatnonzero(rest > root)
+        if big.size:
+            bound = min(int(least[big].max()), isqrt(int(rest[big].max())) + 1)
+            for ell in primes[:np.searchsorted(primes, bound)].tolist():
+                hit = big[rest[big] % ell == 0]
+                if not hit.size:
                     continue
-                L2 = L // gcd(L, rq) * rq
-                if L2 < limit:  # n = 1 (mod L2) and 1 < n <= limit
-                    stack.append((P * q, L2, ps + (q,)))
+                rest[hit] //= ell
+                ok[hit] &= ((ell < least[hit]) & (rest[hit] % ell != 0)
+                            & (nm1[hit] % rad[ell] == 0))
+                head[0, hit] *= ell - 1
+                head[1, hit] = np.lcm(head[1, hit], ell - 1)
+                head[2, hit] += 1
+                big = big[ok[big] & (rest[big] > root)]
+                if not big.size:
+                    break
+            ok[big] = False
+        Lc, top = plan.cofactors[:2, np.where(ok, rest, 0)]
+        i = np.flatnonzero((Lc > 0) & (top < least) & (nm1 % np.maximum(Lc, 1) == 0))
+        phi, lam, omega = nodes[2:5, node[i]]
+        phic, lamc, omegac = plan.cofactors[2:, rest[i]]
+        hphi, hlam, homega = head[:, i]
+        yield np.stack([nm1[i] + 1, phi * phic * hphi, np.lcm(np.lcm(lam, lamc), hlam),
+                        omega + omegac + homega])
+
+
+def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
+    """Records of every radimichael n whose largest prime is in tops (all
+    <= root).
+
+    n = P*c with L = lcm rad(q-1) over q | P dividing n-1, so c = P^-1
+    (mod L), and every prime of c lies below least = min(P). A node is a
+    column (P, L, phi(P), lambda(P), omega(P), least). The search takes a
+    batch of nodes at a time, depth first: a leaf walks its progression,
+    and the stack holds each depth's interior nodes with a cursor into
+    their children, of which it makes at most _BATCH at a time.
+    """
+    limit, primes, rad = plan.limit, plan.primes, plan.rad
+    nodes = np.stack([tops, rad[tops], tops - 1, tops - 1, np.ones_like(tops), tops])
+    stack = []
+    while True:
+        leaf = limit // nodes[0] // nodes[1] <= _WALK_TERMS
+        if leaf.any():
+            yield from _walk(plan, nodes[:, leaf])
+        P, L, phi, lam, omega, least = nodes = nodes[:, ~leaf]
+        single = (omega > 1) & (P % L == 1)  # c = 1: n = P, if P is not prime
+        if single.any():
+            yield np.stack([P, phi, lam, omega])[:, single]
+        # a child takes one more prime q < least with P*q <= limit
+        sizes = np.searchsorted(primes, np.minimum(least - 1, limit // P), side="right")
+        stack.append([nodes, sizes, 0])
+        while stack and stack[-1][2] == stack[-1][1].sum():
+            stack.pop()
+        if not stack:
+            return
+        parents, sizes, done = stack[-1]
+        node, k = _spread(sizes, done)
+        stack[-1][2] = done + len(node)
+        parents, q = parents[:, node], primes[k]
+        L2 = np.lcm(parents[1], rad[q])
+        # q | L or a prime of P dividing rad(q-1) would divide both n and
+        # n-1; n = 1 (mod L2) and 1 < n <= limit
+        keep = ((parents[1] % q != 0) & (np.gcd(rad[q], parents[0]) == 1)
+                & (L2 < limit))
+        (P, _, phi, lam, omega, _), q = parents[:, keep], q[keep]
+        nodes = np.stack([P * q, L2[keep], phi * (q - 1), np.lcm(lam, q - 1),
+                          omega + 1, q])
 
 
 def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,12 +448,19 @@ def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
 def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
     """Tallies of work unit `unit` of `units`: every units-th c value and
     top prime, starting at the unit-th."""
-    counts = [[0] * len(plan.checkpoints) for _ in range(_HIST + plan.k_max + 1)]
-    cs = [c for c in range(3, plan.limit // (plan.root + 1) + 1, 2)
-          if plan.cofactors[c]]
-    _large_prime_part(counts, plan, cs[unit::units])
-    _small_prime_part(counts, plan, list(plan.primes[unit::units]))
-    return np.array(counts, dtype=np.int64)
+    counts = np.zeros((_HIST + plan.k_max + 1, len(plan.checkpoints)), dtype=np.int64)
+    cs = np.flatnonzero(plan.cofactors[0, 3:plan.limit // (plan.root + 1) + 1]) + 3
+    pending, held = [], 0
+    for records in chain(_large_prime_part(plan, cs[unit::units].tolist()),
+                         _small_prime_part(plan, plan.primes[unit::units])):
+        pending.append(records)
+        held += records.shape[1]
+        if held >= _BATCH:
+            _tally(counts, plan, np.hstack(pending))
+            pending, held = [], 0
+    if pending:
+        _tally(counts, plan, np.hstack(pending))
+    return counts
 
 
 def _unit_worker(sender: Connection, plan: _Plan, unit: int, units: int) -> None:
@@ -401,9 +502,11 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     """Exact class counts for all integers up to `limit` (<= 10**8).
 
     The table and enumeration state over [0, isqrt(limit)], in each of
-    `workers` processes, are charged to `memory_budget` up front; the prime
-    counts are taken in this process. Work units are pure and their integer
-    tallies are summed, so the report is identical for any `workers`.
+    `workers` processes, are charged to `memory_budget` up front; the
+    search's batches hold at most _BATCH nodes, terms or records at a time,
+    and the prime counts are taken in this process. Work units are pure and
+    their integer tallies are summed, so the report is identical for any
+    `workers`.
     """
     if limit < 1:
         raise ValueError("survey requires limit >= 1")
@@ -426,6 +529,7 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     plan = _plan(limit, checkpoints, k_max)
     ctx = None
     if workers > 1:
+        import multiprocessing  # the CLI pays for it only when it forks
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-forking platform

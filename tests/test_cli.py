@@ -2,11 +2,18 @@
 
 import io
 import json
+import os
+import pkgutil
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from math import prod
+from pathlib import Path
 
 import pytest
 
+import radimichael
 from radimichael.cli import main
 from radimichael.construct import (
     MAX_COMPONENT_BITS,
@@ -20,6 +27,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_every_submodule_but_no_fork_or_logging_machinery():
+    # multiprocessing and logging are imported where a fork or a warning
+    # happens; the benchmark tracer finds every submodule in sys.modules
+    submodules = sorted(f"radimichael.{m.name}"
+                        for m in pkgutil.iter_modules(radimichael.__path__))
+    code = textwrap.dedent(f"""
+        import json, sys
+        import radimichael.cli
+        names = {submodules!r} + ["numpy", "multiprocessing", "logging"]
+        print(json.dumps([name in sys.modules for name in names]))
+    """)
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert "radimichael.survey" in submodules
+    assert json.loads(proc.stdout) == [True] * len(submodules) + [True, False, False]
 
 
 # ---------------------------------------------------------------------------

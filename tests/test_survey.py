@@ -6,15 +6,18 @@ import subprocess
 import sys
 import textwrap
 from itertools import accumulate
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import radimichael
 import radimichael.survey as survey_module
-from radimichael.arith import TRIAL_LIMIT, factorize
-from radimichael.classify import classify
+from radimichael.arith import TRIAL_LIMIT, carmichael_lambda, euler_phi, factorize
+from radimichael.classify import classify, is_carmichael, lehmer_index_from_factors
 from radimichael.survey import (
     DEFAULT_K_MAX,
     K_MAX_LIMIT,
@@ -256,6 +259,38 @@ def test_survey_workers_1_2_4_byte_identical_with_small_segments():
     assert len(outputs) == 1
 
 
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**12), st.integers(2, 10**11 - 1)),
+                min_size=1, max_size=64))
+def test_inverse_matches_pow(pairs):
+    pairs = [(a, m) for a, m in pairs if gcd(a, m) == 1]
+    assume(pairs)
+    a, m = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    assert survey_module._inverse(a, m).tolist() == [pow(x, -1, y) for x, y in pairs]
+
+
+def test_tally_index_and_carmichael_rule_match_classify():
+    # an even n >= 4 has 2 | phi(n) but not n-1, so only odd n can qualify;
+    # with one checkpoint per number, each tally column holds one n
+    limit = 2 * 10**5
+    found = [c.n for c in map(classify, range(3, limit + 1, 2)) if c.radimichael]
+    facts = [factorize(n) for n in found]
+    records = np.array([found, [euler_phi(f) for f in facts],
+                        [carmichael_lambda(f) for f in facts],
+                        [f.omega for f in facts]], dtype=np.int64)
+    indices = [lehmer_index_from_factors(factorize(euler_phi(f)).factors, n - 1)
+               for n, f in zip(found, facts)]
+    for k_max in (1, 4, DEFAULT_K_MAX, K_MAX_LIMIT):
+        plan = survey_module._plan(limit, found, k_max)
+        counts = np.zeros((survey_module._HIST + k_max + 1, len(found)), dtype=np.int64)
+        survey_module._tally(counts, plan, records)
+        for n, f, index, column in zip(found, facts, indices, counts.T.tolist()):
+            hist = [0] * (k_max + 1)
+            hist[min(index, k_max + 1) - 1] = 1
+            omegas = [f.omega == 2, f.omega == 3, f.omega >= 4]
+            assert column == [is_carmichael(n, f), 1, *omegas, *hist], (n, k_max)
+
+
 def bytearray_prime_counts(limit):
     """pi(x) for every x <= limit, by a sieve of Eratosthenes."""
     sieve = bytearray([1]) * (limit + 1)
@@ -292,48 +327,41 @@ def test_survey_composites_match_a_bytearray_sieve_on_every_lookup_branch():
             assert row.composites == row.checkpoint - 1 - pi[row.checkpoint]
 
 
-def test_survey_peak_memory_within_budget_model():
-    pytest.importorskip("resource")
+def peak_rss_growth(call):
+    """Bytes that running `call` (after `import numpy` and the package) adds
+    to the peak RSS of a fresh process. The child reads VmHWM, which starts
+    at its exec; its ru_maxrss would start at the RSS of this test process,
+    which is above the child's whole peak, so every growth would read 0."""
     if sys.platform != "linux":
-        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
-    limit = 2 * 10**6
+        pytest.skip("VmHWM is read from Linux's /proc/self/status")
     code = textwrap.dedent(f"""
-        import resource
         import numpy
-        from radimichael.survey import survey
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        survey({limit})
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print((after - before) * 1024)
+        from radimichael.survey import build_spf, survey
+        def peak():
+            with open("/proc/self/status") as status:
+                return next(int(line.split()[1]) for line in status
+                            if line.startswith("VmHWM:"))
+        before = peak()
+        {call}
+        print((peak() - before) * 1024)
     """)
     src = str(Path(radimichael.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
-    growth = int(proc.stdout)
+    return int(proc.stdout)
+
+
+@pytest.mark.parametrize("limit", [2 * 10**6, SURVEY_LIMIT])
+def test_survey_peak_memory_within_budget_model(limit):
+    growth = peak_rss_growth(f"survey({limit})")
     charge = _memory_charge(limit)
     assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
 
 def test_spf_peak_memory_within_budget_model():
-    pytest.importorskip("resource")
-    if sys.platform != "linux":
-        pytest.skip("ru_maxrss is read in KiB, as Linux reports it")
     limit = 10**7
-    code = textwrap.dedent(f"""
-        import resource
-        import numpy
-        from radimichael.survey import build_spf
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        build_spf({limit})
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print((after - before) * 1024)
-    """)
-    src = str(Path(radimichael.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
-    growth = int(proc.stdout)
+    growth = peak_rss_growth(f"build_spf({limit})")
     charge = _spf_charge(limit)
     assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
