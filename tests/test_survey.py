@@ -259,6 +259,21 @@ def test_survey_workers_1_2_4_byte_identical_with_small_segments():
     assert len(outputs) == 1
 
 
+def test_worker_moves_to_the_next_cpu_and_keeps_its_affinity():
+    cpu = survey_module._current_cpu()
+    if cpu is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs Linux's /proc/self/stat and two allowed CPUs")
+    allowed = sorted(os.sched_getaffinity(0))
+    survey_module._move_off_parent_cpu(1, cpu)
+    assert survey_module._current_cpu() != cpu
+    assert sorted(os.sched_getaffinity(0)) == allowed
+    # a unit count of the CPUs comes back to the parent's CPU, and stays
+    here = survey_module._current_cpu()
+    survey_module._move_off_parent_cpu(len(allowed), here)
+    assert survey_module._current_cpu() == here
+    assert sorted(os.sched_getaffinity(0)) == allowed
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 10**12), st.integers(2, 10**11 - 1)),
                 min_size=1, max_size=64))
