@@ -20,12 +20,9 @@ from .survey import (
     report_write,
     survey,
 )
+from .workers import MAX_WORKERS
 
 MEMORY_BUDGET_ENV = "RADIMICHAEL_MEMORY_BUDGET"
-
-# Upper bound on --workers: each worker is a forked process, so a typo such
-# as 100000 must be refused before any is started.
-MAX_WORKERS = 64
 
 
 def _workers(text: str) -> int:

@@ -9,10 +9,12 @@ index from scratch.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
+from operator import attrgetter
 from typing import Iterable, TextIO
 
 from .arith import (
@@ -22,6 +24,7 @@ from .arith import (
     prime_verdict,
 )
 from .classify import is_carmichael, is_k_lehmer, lehmer_index_from_factors
+from .workers import check_workers, fork_map
 
 # Largest bit length of a tuple prime a^l * n + 1 that a spec may produce and
 # that `verify` will test. Verifying one component at the cap costs 30 SPRP
@@ -319,12 +322,12 @@ def _on_target(hit: TupleHit, subsets: list[tuple[int, ...]],
     return kept
 
 
-def _search_chunk(spec: TupleSpec, n_lo: int, n_hi: int, all_subsets: bool,
+def _search_chunk(spec: TupleSpec, ns: range, all_subsets: bool,
                   target: int | None) -> list[RadimichaelCertificate]:
-    """Certify the eligible products for n in [n_lo, n_hi]; with a `target`
+    """Certify the eligible products for each n in `ns`; with a `target`
     index, only those _on_target keeps."""
     out = []
-    for n in range(n_lo, n_hi + 1):
+    for n in ns:
         hit = scan_tuple(spec, n)
         subsets = list(_eligible_subsets(hit, spec.m, all_subsets))
         if target is not None and subsets:
@@ -334,30 +337,16 @@ def _search_chunk(spec: TupleSpec, n_lo: int, n_hi: int, all_subsets: bool,
     return out
 
 
-def _chunk_ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
-    width = hi - lo + 1
-    pieces = max(1, min(pieces, width))
-    step = -(-width // pieces)
-    return [(start, min(start + step - 1, hi))
-            for start in range(lo, hi + 1, step)]
-
-
 def _search(spec: TupleSpec, all_subsets: bool, workers: int,
             target: int | None) -> list[RadimichaelCertificate]:
-    """_search_chunk over spec's n range, in n order for any worker count."""
-    if workers <= 1 or spec.n_max == spec.n_min:
-        return _search_chunk(spec, spec.n_min, spec.n_max, all_subsets, target)
-    chunks = _chunk_ranges(spec.n_min, spec.n_max, workers * 4)
-    import multiprocessing  # a serial search never pays for the import
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-forking platform
-        return _search_chunk(spec, spec.n_min, spec.n_max, all_subsets, target)
-    with ctx.Pool(workers) as pool:
-        parts = pool.starmap(
-            _search_chunk,
-            [(spec, lo, hi, all_subsets, target) for lo, hi in chunks])
-    return [cert for part in parts for cert in part]
+    """_search_chunk over spec's n range, in n order for any worker count:
+    unit u of U takes every U-th n from n_min + u, so a merge by n keeps
+    the certificates of each n, which all come from one unit, in order."""
+    def work(unit: int, units: int) -> list[RadimichaelCertificate]:
+        return _search_chunk(spec, range(spec.n_min + unit, spec.n_max + 1, units),
+                             all_subsets, target)
+    parts = fork_map(work, min(workers, spec.n_max - spec.n_min + 1))
+    return list(heapq.merge(*parts, key=attrgetter("n")))
 
 
 def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
@@ -368,6 +357,7 @@ def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
     all_subsets=True certifies every size-m selection instead. Results are
     ordered by n (then by selection), independent of worker count.
     """
+    check_workers(workers)
     return _search(spec, all_subsets, workers, None)
 
 
@@ -388,6 +378,7 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     single tuple prime can land in L_2 \\ L_1, and semiprimes never do.
     `n_range` must have step 1.
     """
+    check_workers(workers)
     if k < 3:
         raise ValueError("theorem2_search requires k >= 3")
     if n_range.step != 1:

@@ -34,20 +34,16 @@ count of its own.
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt, lcm, prod
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .arith import SMALL_PRIMES, Factorization, prime_verdict
-
-if TYPE_CHECKING:  # for annotations only; survey() imports it when it forks
-    import multiprocessing
-    from multiprocessing.connection import Connection
+from .workers import check_workers, fork_map
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
 DEFAULT_K_MAX = 8
@@ -464,75 +460,6 @@ def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
     return counts
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process runs on, where Linux's /proc tells it."""
-    try:
-        with open("/proc/self/stat") as stat:
-            return int(stat.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _move_off_parent_cpu(unit: int, parent_cpu: int | None) -> None:
-    """Move forked worker `unit` to the unit-th allowed CPU after its
-    parent's, then allow every CPU again.
-
-    A forked child starts on its parent's CPU, and some kernels leave it
-    there for hundreds of milliseconds, so that the two take turns on one
-    CPU while another idles. The move is made once; the scheduler is free
-    to move the worker afterwards.
-    """
-    if parent_cpu is None or not hasattr(os, "sched_setaffinity"):
-        return
-    allowed = sorted(os.sched_getaffinity(0))
-    if parent_cpu not in allowed or len(allowed) < 2:
-        return
-    target = allowed[(allowed.index(parent_cpu) + unit) % len(allowed)]
-    try:
-        os.sched_setaffinity(0, {target})
-        os.sched_setaffinity(0, allowed)
-    except OSError:  # pragma: no cover - a CPU went offline meanwhile
-        pass
-
-
-def _unit_worker(sender: Connection, plan: _Plan, unit: int, units: int,
-                 parent_cpu: int | None) -> None:
-    _move_off_parent_cpu(unit, parent_cpu)
-    with sender:
-        sender.send(_unit_counts(plan, unit, units))
-
-
-def _forked_counts(ctx: multiprocessing.context.BaseContext, plan: _Plan,
-                   workers: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Summed tallies of `workers` units, and the prime counts at the limit:
-    forked children inherit the plan and compute units 1.., each on its own
-    CPU where there are enough and each sending its tallies through a pipe,
-    while this process computes unit 0 and then the prime counts."""
-    children, cpu = [], _current_cpu()
-    try:
-        for unit in range(1, workers):
-            receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_unit_worker,
-                                args=(sender, plan, unit, workers, cpu))
-            child.start()
-            sender.close()
-            children.append((child, receiver))
-        total = _unit_counts(plan, 0, workers)
-        prime_counts = _prime_counts(plan.limit)
-        for _, receiver in children:
-            try:
-                total += receiver.recv()
-            except EOFError:
-                raise RuntimeError("a survey worker exited without its tallies") from None
-        return total, prime_counts
-    finally:
-        # every tally has arrived, or the survey failed: stop what is left
-        for child, receiver in children:
-            receiver.close()
-            child.terminate()
-            child.join()
-
-
 def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
            checkpoints: list[int] | None = None,
            memory_budget: int | None = None) -> SurveyReport:
@@ -545,6 +472,7 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     their integer tallies are summed, so the report is identical for any
     `workers`.
     """
+    check_workers(workers)
     if limit < 1:
         raise ValueError("survey requires limit >= 1")
     if limit > SURVEY_LIMIT:
@@ -562,17 +490,16 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     if not checkpoints:
         return SurveyReport(limit, k_max, ())
 
-    _check_budget(_memory_charge(limit, max(workers, 1)), memory_budget)
+    _check_budget(_memory_charge(limit, workers), memory_budget)
     plan = _plan(limit, checkpoints, k_max)
-    ctx = None
-    if workers > 1:
-        import multiprocessing  # the CLI pays for it only when it forks
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-forking platform
-            pass
-    total, (small, large) = ((_unit_counts(plan, 0, 1), _prime_counts(limit))
-                             if ctx is None else _forked_counts(ctx, plan, workers))
+
+    def work(unit: int, units: int) -> tuple[np.ndarray, tuple | None]:
+        # unit 0 runs here: the prime counts are taken while workers run
+        return (_unit_counts(plan, unit, units),
+                _prime_counts(limit) if unit == 0 else None)
+    parts = fork_map(work, workers)
+    total = sum(counts for counts, _ in parts)
+    small, large = parts[0][1]
     # pi at each checkpoint; one that is not limit // i needs its own count
     pis = [small[cp] if cp <= plan.root
            else large[limit // cp] if limit // (limit // cp) == cp

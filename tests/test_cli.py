@@ -119,6 +119,7 @@ def test_survey_output_file_and_worker_identity(tmp_path, capsys):
 
 def test_workers_above_cap_refused_before_any_command_runs(capsys, monkeypatch):
     from radimichael import cli
+    from radimichael.workers import MAX_WORKERS
 
     def never(*args, **kwargs):
         raise AssertionError("command ran despite a refused --workers")
@@ -126,12 +127,12 @@ def test_workers_above_cap_refused_before_any_command_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "survey", never)
     monkeypatch.setattr(cli.construct, "search_radimichael", never)
     monkeypatch.setattr(cli.construct, "theorem2_search", never)
-    assert cli._workers(str(cli.MAX_WORKERS)) == cli.MAX_WORKERS
+    assert cli._workers(str(MAX_WORKERS)) == MAX_WORKERS
     commands = (["survey", "--limit", "100"],
                 ["construct", "--a", "2", "--s", "4", "--m", "2", "--n-max", "10"],
                 ["theorem2", "--a", "2", "--k", "3", "--s", "4", "--n-max", "10"])
     for argv in commands:
-        for workers in (str(cli.MAX_WORKERS + 1), "100000", "0"):
+        for workers in (str(MAX_WORKERS + 1), "100000", "0"):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--workers", workers])
             captured = capsys.readouterr()

@@ -311,7 +311,7 @@ THEOREM2_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("args, b", THEOREM2_RUNS)
 def test_theorem2_matches_certify_everything_oracle(args, b, workers):
     diagnostics = []

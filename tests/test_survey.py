@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import radimichael
 import radimichael.survey as survey_module
+import radimichael.workers as workers_module
 from radimichael.arith import TRIAL_LIMIT, carmichael_lambda, euler_phi, factorize
 from radimichael.classify import classify, is_carmichael, lehmer_index_from_factors
 from radimichael.survey import (
@@ -247,30 +248,24 @@ def test_survey_k_max_cap():
         survey(100, k_max=K_MAX_LIMIT + 1)
 
 
-def test_survey_deterministic_across_workers_and_segments():
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_survey_deterministic_across_workers(workers):
     base = report_write(survey(10**5), "csv")
-    for workers in (2, 8):
-        assert report_write(survey(10**5, workers=workers), "csv") == base
-    assert report_write(survey(10**5), "csv") == base
-
-
-def test_survey_workers_1_2_4_byte_identical_with_small_segments():
-    outputs = {report_write(survey(10**5, workers=w), "csv") for w in (1, 2, 4)}
-    assert len(outputs) == 1
+    assert report_write(survey(10**5, workers=workers), "csv") == base
 
 
 def test_worker_moves_to_the_next_cpu_and_keeps_its_affinity():
-    cpu = survey_module._current_cpu()
+    cpu = workers_module._current_cpu()
     if cpu is None or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs Linux's /proc/self/stat and two allowed CPUs")
     allowed = sorted(os.sched_getaffinity(0))
-    survey_module._move_off_parent_cpu(1, cpu)
-    assert survey_module._current_cpu() != cpu
+    workers_module._move_off_parent_cpu(1, cpu)
+    assert workers_module._current_cpu() != cpu
     assert sorted(os.sched_getaffinity(0)) == allowed
     # a unit count of the CPUs comes back to the parent's CPU, and stays
-    here = survey_module._current_cpu()
-    survey_module._move_off_parent_cpu(len(allowed), here)
-    assert survey_module._current_cpu() == here
+    here = workers_module._current_cpu()
+    workers_module._move_off_parent_cpu(len(allowed), here)
+    assert workers_module._current_cpu() == here
     assert sorted(os.sched_getaffinity(0)) == allowed
 
 
