@@ -74,13 +74,22 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _emit_certificates(certs, diagnostics, args, label: str) -> int:
+    """Write each certificate as the search yields it, then the summary."""
+    probable = 0
+
+    def counted():
+        nonlocal probable
+        for cert in certs:
+            probable += cert.probable_prime_flag
+            yield cert
+
     stream, owned = _open_output(args.output)
     try:
-        count = construct.write_certificates(certs, stream)
+        count = construct.write_certificates(counted(), stream)
     finally:
+        certs.close()  # a failed write stops the search and its workers
         if owned:
             stream.close()
-    probable = sum(1 for c in certs if c.probable_prime_flag)
     for cert in diagnostics:
         print(f"# diagnostic (sufficient condition held, index="
               f"{cert.lehmer_index}): {construct.certificate_to_line(cert)}",
@@ -98,7 +107,7 @@ def _emit_certificates(certs, diagnostics, args, label: str) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     spec = construct.TupleSpec(a=args.a, b=args.b, s=args.s, m=args.m,
                                n_min=args.n_min, n_max=args.n_max)
-    certs = construct.search_radimichael(spec, all_subsets=args.all_subsets,
+    certs = construct.stream_radimichael(spec, all_subsets=args.all_subsets,
                                          workers=args.workers)
     return _emit_certificates(certs, (), args, "construct")
 
@@ -107,7 +116,7 @@ def _cmd_theorem2(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_min > args.n_max:
         raise ValueError(f"empty n range [{args.n_min}, {args.n_max}]")
     diagnostics: list = []
-    certs = construct.theorem2_search(
+    certs = construct.stream_theorem2(
         args.a, args.k, args.s, range(args.n_min, args.n_max + 1),
         b=args.b, workers=args.workers, diagnostics=diagnostics)
     return _emit_certificates(certs, diagnostics, args, "theorem2")

@@ -9,13 +9,11 @@ index from scratch.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, prod
-from operator import attrgetter
-from typing import Iterable, TextIO
+from typing import Generator, Iterable, Iterator, TextIO
 
 from .arith import (
     Factorization,
@@ -322,61 +320,93 @@ def _on_target(hit: TupleHit, subsets: list[tuple[int, ...]],
     return kept
 
 
-def _search_chunk(spec: TupleSpec, ns: range, all_subsets: bool,
-                  target: int | None) -> list[RadimichaelCertificate]:
-    """Certify the eligible products for each n in `ns`; with a `target`
-    index, only those _on_target keeps."""
-    out = []
-    for n in ns:
-        hit = scan_tuple(spec, n)
-        subsets = list(_eligible_subsets(hit, spec.m, all_subsets))
-        if target is not None and subsets:
-            subsets = _on_target(hit, subsets, target)
-        for subset in subsets:
-            out.append(build_radimichael(hit, spec.m, subset))
-    return out
+def _certified(spec: TupleSpec, n: int, all_subsets: bool,
+               target: int | None) -> list[RadimichaelCertificate]:
+    """Certify the eligible products for n; with a `target` index, only
+    those _on_target keeps."""
+    hit = scan_tuple(spec, n)
+    subsets = list(_eligible_subsets(hit, spec.m, all_subsets))
+    if target is not None and subsets:
+        subsets = _on_target(hit, subsets, target)
+    return [build_radimichael(hit, spec.m, subset) for subset in subsets]
 
 
 def _search(spec: TupleSpec, all_subsets: bool, workers: int,
-            target: int | None) -> list[RadimichaelCertificate]:
-    """_search_chunk over spec's n range, in n order for any worker count:
-    unit u of U takes every U-th n from n_min + u, so a merge by n keeps
-    the certificates of each n, which all come from one unit, in order."""
-    def work(unit: int, units: int) -> list[RadimichaelCertificate]:
-        return _search_chunk(spec, range(spec.n_min + unit, spec.n_max + 1, units),
-                             all_subsets, target)
-    parts = fork_map(work, min(workers, spec.n_max - spec.n_min + 1))
-    return list(heapq.merge(*parts, key=attrgetter("n")))
+            target: int | None) -> Iterator[list[RadimichaelCertificate]]:
+    """_certified for each n of spec's range, one list per n, in n order
+    for any worker count: unit u of U takes every U-th n from n_min + u,
+    so taking the units' pieces in turn visits n in order."""
+    def work(unit: int, units: int) -> Iterator[list[RadimichaelCertificate]]:
+        return (_certified(spec, n, all_subsets, target)
+                for n in range(spec.n_min + unit, spec.n_max + 1, units))
+    return fork_map(work, min(workers, spec.n_max - spec.n_min + 1))
+
+
+def _certificates(pieces: Iterator[list[RadimichaelCertificate]],
+                  target: int | None,
+                  diagnostics: list[RadimichaelCertificate] | None
+                  ) -> Generator[RadimichaelCertificate, None, None]:
+    """Every certificate of the pieces, or with a `target` index only those
+    of that index: the others, which only the sufficient condition let
+    through, are logged and go to `diagnostics`. Closing this closes
+    `pieces`, which stops the search's workers."""
+    try:
+        for cert in chain.from_iterable(pieces):
+            if target is None or cert.lehmer_index == target:
+                yield cert
+            elif cert.sufficient_condition_held:
+                import logging  # imported only on this unexpected path
+                logging.getLogger(__name__).warning(
+                    "sufficient condition held but index=%s != %s for N=%s",
+                    cert.lehmer_index, target, cert.N)
+                if diagnostics is not None:
+                    diagnostics.append(cert)
+    finally:
+        pieces.close()
+
+
+def stream_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
+                       workers: int = 1
+                       ) -> Generator[RadimichaelCertificate, None, None]:
+    """Scan spec's n range and certify every qualifying product, yielding
+    each n's certificates once that n and every n before it are done.
+
+    Default selection is the m smallest usable primes per hit;
+    all_subsets=True certifies every size-m selection instead. Results are
+    ordered by n (then by selection), independent of worker count. The
+    parameters are checked on the call, before any search or fork; closing
+    the generator stops the search and its workers.
+    """
+    check_workers(workers)
+    return _certificates(_search(spec, all_subsets, workers, None), None, None)
 
 
 def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
                        workers: int = 1) -> list[RadimichaelCertificate]:
-    """Scan spec's n range and certify every qualifying product.
-
-    Default selection is the m smallest usable primes per hit;
-    all_subsets=True certifies every size-m selection instead. Results are
-    ordered by n (then by selection), independent of worker count.
-    """
-    check_workers(workers)
-    return _search(spec, all_subsets, workers, None)
+    """stream_radimichael's certificates as a list."""
+    return list(stream_radimichael(spec, all_subsets=all_subsets, workers=workers))
 
 
-def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
+def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
                     workers: int = 1,
                     diagnostics: list[RadimichaelCertificate] | None = None,
-                    ) -> list[RadimichaelCertificate]:
-    """Hunt members of L_k \\ L_{k-1} with exactly k-1 prime factors.
+                    ) -> Generator[RadimichaelCertificate, None, None]:
+    """Hunt members of L_k \\ L_{k-1} with exactly k-1 prime factors,
+    yielding each n's certificates once that n and every n before it are
+    done.
 
     Uses m = k-1 and the window (max(b, 1), b+s): exponent 0 is never
     selectable, so at b = 0 the window has s slots, otherwise s+1. The
     exact index of every size-m selection of primes per n is computed from
     valuations first, and only products of index k, or with the sufficient
     condition sum(l_i - b) < b held, are certified; certificates of index
-    k are returned. Certificates where the sufficient condition held but
+    k are yielded. Certificates where the sufficient condition held but
     the index came out different are appended to `diagnostics` (and
     logged), never silently dropped. k = 2 is rejected: no product of a
     single tuple prime can land in L_2 \\ L_1, and semiprimes never do.
-    `n_range` must have step 1.
+    `n_range` must have step 1. The parameters are checked on the call,
+    before any search or fork; closing the generator stops the search and
+    its workers.
     """
     check_workers(workers)
     if k < 3:
@@ -384,22 +414,19 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     if n_range.step != 1:
         raise ValueError(f"n_range needs step 1, got {n_range.step}")
     if len(n_range) == 0:
-        return []
-    m = k - 1
-    spec = TupleSpec(a=a, b=b, s=s, m=m, n_min=n_range[0], n_max=n_range[-1],
+        return (cert for cert in ())  # a generator, closable like the others
+    spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0], n_max=n_range[-1],
                      window=(max(b, 1), b + s))
-    emitted = []
-    for cert in _search(spec, True, workers, k):
-        if cert.lehmer_index == k:
-            emitted.append(cert)
-        elif cert.sufficient_condition_held:
-            import logging  # imported only on this unexpected path
-            logging.getLogger(__name__).warning(
-                "sufficient condition held but index=%s != %s for N=%s",
-                cert.lehmer_index, k, cert.N)
-            if diagnostics is not None:
-                diagnostics.append(cert)
-    return emitted
+    return _certificates(_search(spec, True, workers, k), k, diagnostics)
+
+
+def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
+                    workers: int = 1,
+                    diagnostics: list[RadimichaelCertificate] | None = None,
+                    ) -> list[RadimichaelCertificate]:
+    """stream_theorem2's certificates as a list."""
+    return list(stream_theorem2(a, k, s, n_range, b=b, workers=workers,
+                                diagnostics=diagnostics))
 
 
 # ---------------------------------------------------------------------------

@@ -493,11 +493,11 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     _check_budget(_memory_charge(limit, workers), memory_budget)
     plan = _plan(limit, checkpoints, k_max)
 
-    def work(unit: int, units: int) -> tuple[np.ndarray, tuple | None]:
+    def work(unit: int, units: int) -> tuple[tuple[np.ndarray, tuple | None]]:
         # unit 0 runs here: the prime counts are taken while workers run
-        return (_unit_counts(plan, unit, units),
-                _prime_counts(limit) if unit == 0 else None)
-    parts = fork_map(work, workers)
+        return ((_unit_counts(plan, unit, units),
+                 _prime_counts(limit) if unit == 0 else None),)
+    parts = list(fork_map(work, workers))
     total = sum(counts for counts, _ in parts)
     small, large = parts[0][1]
     # pi at each checkpoint; one that is not limit // i needs its own count

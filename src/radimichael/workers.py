@@ -1,10 +1,11 @@
 """fork_map: one piece of work split into independent units, run in the
-calling process and in forked children, with the results in unit order."""
+calling process and in forked children, each unit's pieces streamed back
+and taken from the units in turn."""
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 # Upper bound on the worker count: each worker is a forked process, so a
 # typo such as 100000 must be refused before any is started.
@@ -47,23 +48,73 @@ def _move_off_parent_cpu(unit: int, parent_cpu: int | None) -> None:
         pass
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the cause of the
+    exception that the worker raised."""
+
+
 def _child(sender, work, unit: int, units: int, parent_cpu: int | None) -> None:
+    """Send each piece of work(unit, units) as it is made, then "end"; a
+    full pipe blocks the send, so the child runs at most a pipe ahead."""
     _move_off_parent_cpu(unit, parent_cpu)
     with sender:
         try:
-            sender.send((True, work(unit, units)))
+            for piece in work(unit, units):
+                sender.send(("piece", piece))
+            sender.send(("end", None))
         except Exception as exc:  # the parent raises it again
-            sender.send((False, exc))
+            import traceback  # imported only on this failure path
+            sender.send(("error", (exc, traceback.format_exc())))
 
 
-def fork_map(work: Callable[[int, int], object], workers: int) -> list:
-    """[work(0, workers), ..., work(workers - 1, workers)]: unit 0 runs here
-    while forked children run the others, or all run here in turn with one
-    worker or no fork. A child's exception is raised here with its own
-    type, and every child is stopped before this returns or raises."""
+def _received(receiver) -> Iterator:
+    """The pieces a child sends, ending at its "end"."""
+    while True:
+        try:
+            kind, value = receiver.recv()
+        except EOFError:
+            raise RuntimeError("a worker exited before its last piece") from None
+        if kind == "end":
+            return
+        if kind == "error":
+            exc, text = value
+            raise exc from _RemoteTraceback(text)
+        yield value
+
+
+def _in_turn(sources: list[Iterator]) -> Iterator:
+    """Piece 0 of each source, then piece 1 of each, and so on, skipping
+    the sources that have run out."""
+    while sources:
+        live = []
+        for source in sources:
+            for piece in source:
+                yield piece
+                live.append(source)
+                break
+        sources = live
+
+
+def fork_map(work: Callable[[int, int], Iterable], workers: int) -> Iterator:
+    """The pieces of work(0, workers), ..., work(workers - 1, workers) taken
+    in turn: piece 0 of every unit in unit order, then piece 1 of every
+    unit that has one, and so on.
+
+    The worker count is checked here, before anything runs. Unit 0 runs in
+    the calling process while forked children run the others and send each
+    piece as they make it, or all run here with one worker or no fork. A
+    child's exception is raised here with its own type and the child's
+    traceback as its cause. Every child is stopped when the iterator ends,
+    raises or is closed.
+    """
     check_workers(workers)
+    return _pieces(work, workers)
+
+
+def _pieces(work, workers: int) -> Iterator:
     if workers == 1 or not hasattr(os, "fork"):
-        return [work(unit, workers) for unit in range(workers)]
+        yield from _in_turn([iter(work(unit, workers)) for unit in range(workers)])
+        return
     import multiprocessing  # a serial run never pays for the import
     ctx = multiprocessing.get_context("fork")
     children, cpu = [], _current_cpu()
@@ -74,19 +125,13 @@ def fork_map(work: Callable[[int, int], object], workers: int) -> list:
             child.start()
             sender.close()
             children.append((child, receiver))
-        results = [work(0, workers)]
-        for _, receiver in children:
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                raise RuntimeError("a worker exited without its result") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
+        yield from _in_turn([iter(work(0, workers))]
+                            + [_received(receiver) for _, receiver in children])
     finally:
-        # every result has arrived, or a unit failed: stop what is left
+        # every piece has arrived, a unit failed or the caller stopped early;
+        # a child is stopped before its pipe closes, so that it never sees
+        # the closed pipe as a failure of its own
         for child, receiver in children:
-            receiver.close()
             child.terminate()
             child.join()
+            receiver.close()

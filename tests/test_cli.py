@@ -127,6 +127,8 @@ def test_workers_above_cap_refused_before_any_command_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "survey", never)
     monkeypatch.setattr(cli.construct, "search_radimichael", never)
     monkeypatch.setattr(cli.construct, "theorem2_search", never)
+    monkeypatch.setattr(cli.construct, "stream_radimichael", never)
+    monkeypatch.setattr(cli.construct, "stream_theorem2", never)
     assert cli._workers(str(MAX_WORKERS)) == MAX_WORKERS
     commands = (["survey", "--limit", "100"],
                 ["construct", "--a", "2", "--s", "4", "--m", "2", "--n-max", "10"],
@@ -236,6 +238,61 @@ def test_streams_are_deterministic(capsys):
     second = run_cli(capsys, *args)
     parallel = run_cli(capsys, *args, "--workers", "3")
     assert first == second == parallel
+
+
+THEOREM2_K4 = ["theorem2", "--a", "2", "--k", "4", "--s", "16",
+               "--n-min", "1", "--n-max", "4000"]
+
+
+def test_theorem2_streams_its_lines_in_n_order_for_any_worker_count(monkeypatch):
+    from radimichael import construct
+
+    scanned = 0
+    scan_tuple = construct.scan_tuple
+
+    def counted_scan(spec, n):
+        nonlocal scanned
+        scanned += 1
+        return scan_tuple(spec, n)
+
+    class FirstWriteRecorder(io.StringIO):
+        scanned_at_first_write = None
+
+        def write(self, text):
+            if self.scanned_at_first_write is None:
+                self.scanned_at_first_write = scanned
+            return super().write(text)
+
+    monkeypatch.setattr(construct, "scan_tuple", counted_scan)
+    out = FirstWriteRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(THEOREM2_K4 + ["--workers", "1"]) == 0
+    # the first line goes out before 5 % of the window's 4000 n are scanned
+    assert 0 < out.scanned_at_first_write < 0.05 * 4000
+
+    listed = io.StringIO()
+    construct.write_certificates(construct.theorem2_search(2, 4, 16, range(1, 4001)),
+                                 listed)
+    assert out.getvalue() == listed.getvalue()
+    for workers in ("2", "3"):
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(THEOREM2_K4 + ["--workers", workers]) == 0
+        assert out.getvalue() == listed.getvalue()
+
+
+def test_a_closed_output_pipe_ends_in_exit_2():
+    # `theorem2 ... | head -n 1` with three workers
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "radimichael.cli", *THEOREM2_K4, "--workers", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    assert certificate_from_line(first.decode()).n == 3
+    assert proc.returncode == 2 and err == "error: [Errno 32] Broken pipe\n"
 
 
 # ---------------------------------------------------------------------------
