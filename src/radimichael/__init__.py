@@ -32,8 +32,6 @@ from .construct import (
     non_carmichael_check,
     scan_tuple,
     search_radimichael,
-    stream_radimichael,
-    stream_theorem2,
     theorem2_search,
     verify_certificate,
 )

@@ -86,6 +86,7 @@ def _emit_certificates(certs, diagnostics, args, label: str) -> int:
     stream, owned = _open_output(args.output)
     try:
         count = construct.write_certificates(counted(), stream)
+        stream.flush()  # a closed pipe fails here, before the summary
     finally:
         certs.close()  # a failed write stops the search and its workers
         if owned:
@@ -202,10 +203,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except MemoryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError as exc:
+        if sys.stdout is sys.__stdout__:
+            # stdout may still hold unsent bytes; send them to devnull so
+            # the flush at exit cannot fail again and turn exit 2 into 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,11 +5,16 @@ and taken from the units in turn."""
 from __future__ import annotations
 
 import os
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 # Upper bound on the worker count: each worker is a forked process, so a
 # typo such as 100000 must be refused before any is started.
 MAX_WORKERS = 64
+
+# A child sends its pieces in batches of this many, one pipe message each,
+# so per-message costs are paid once per batch rather than once per piece.
+PIECES_PER_SEND = 16
 
 
 def check_workers(workers: int) -> None:
@@ -54,13 +59,15 @@ class _RemoteTraceback(Exception):
 
 
 def _child(sender, work, unit: int, units: int, parent_cpu: int | None) -> None:
-    """Send each piece of work(unit, units) as it is made, then "end"; a
-    full pipe blocks the send, so the child runs at most a pipe ahead."""
+    """Send the pieces of work(unit, units) as they are made, PIECES_PER_SEND
+    to a message, then "end"; a full pipe blocks the send, so the child runs
+    at most a pipe ahead."""
     _move_off_parent_cpu(unit, parent_cpu)
     with sender:
         try:
-            for piece in work(unit, units):
-                sender.send(("piece", piece))
+            pieces = iter(work(unit, units))
+            while batch := list(islice(pieces, PIECES_PER_SEND)):
+                sender.send(("pieces", batch))
             sender.send(("end", None))
         except Exception as exc:  # the parent raises it again
             import traceback  # imported only on this failure path
@@ -79,7 +86,7 @@ def _received(receiver) -> Iterator:
         if kind == "error":
             exc, text = value
             raise exc from _RemoteTraceback(text)
-        yield value
+        yield from value
 
 
 def _in_turn(sources: list[Iterator]) -> Iterator:

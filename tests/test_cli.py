@@ -281,18 +281,44 @@ def test_theorem2_streams_its_lines_in_n_order_for_any_worker_count(monkeypatch)
         assert out.getvalue() == listed.getvalue()
 
 
+def _cli_env():
+    # stdout block-buffered, as it is by default when it is a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(radimichael.__file__).resolve().parents[1])
+    return env
+
+
 def test_a_closed_output_pipe_ends_in_exit_2():
     # `theorem2 ... | head -n 1` with three workers
-    src = str(Path(radimichael.__file__).resolve().parents[1])
     proc = subprocess.Popen(
         [sys.executable, "-m", "radimichael.cli", *THEOREM2_K4, "--workers", "3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src})
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.communicate(timeout=120)[1].decode()
     assert certificate_from_line(first.decode()).n == 3
     assert proc.returncode == 2 and err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--a", "2", "--b", "0", "--s", "8", "--m", "2", "--n-max", "30"],
+    THEOREM2_K4 + ["--workers", "3"],
+    ["classify", "85"],
+], ids=["fits-the-buffer", "streams-past-it", "classify"])
+def test_a_pipe_closed_before_any_output_ends_in_exit_2(argv):
+    # Output smaller than stdout's buffer first reaches the pipe when main
+    # flushes it; larger output fails mid-stream. Neither may leave bytes
+    # for the flush at interpreter exit, which would exit 120.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "radimichael.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_cli_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from radimichael.construct import (
     theorem2_search,
 )
 from radimichael.survey import survey
-from radimichael.workers import MAX_WORKERS, fork_map
+from radimichael.workers import MAX_WORKERS, PIECES_PER_SEND, fork_map
 
 
 def assert_no_child_left():
@@ -46,6 +46,18 @@ def test_fork_map_takes_the_pieces_in_turn_and_skips_exhausted_units():
     expected = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2)]
     for workers in (1, 2, 3):
         assert list(fork_map(work, workers)) == [p for p in expected if p[0] < workers]
+    assert_no_child_left()
+
+
+def test_pieces_sent_in_batches_arrive_whole_and_in_turn():
+    # unit lengths on both sides of a batch boundary, and an empty unit
+    lengths = (2 * PIECES_PER_SEND + 3, PIECES_PER_SEND, PIECES_PER_SEND + 1, 0)
+
+    def work(unit, units):
+        return ((unit, i) for i in range(lengths[unit]))
+
+    expected = [(u, i) for i in range(max(lengths)) for u in range(4) if i < lengths[u]]
+    assert list(fork_map(work, 4)) == expected
     assert_no_child_left()
 
 
