@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, factorization, phi, lambda, radical, valuations."""
+"""Exact integer arithmetic: primality, factorization, phi, lambda, radical."""
 
 from __future__ import annotations
 
@@ -318,15 +318,3 @@ def radical(f: Factorization) -> int:
         result *= p
     return result
 
-
-def valuation(q: int, n: int) -> int:
-    """Largest e with q^e dividing n, for prime q and n >= 1."""
-    if n == 0:
-        raise ValueError("valuation is undefined at n = 0")
-    if n < 0 or q < 2:
-        raise ValueError("valuation requires n >= 1 and prime q >= 2")
-    e = 0
-    while n % q == 0:
-        n //= q
-        e += 1
-    return e

@@ -7,16 +7,9 @@ encoded here as an int, or None when no such k exists (n not radimichael).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from math import gcd
 
-from .arith import (
-    Factorization,
-    carmichael_lambda,
-    euler_phi,
-    factorize,
-    radical,
-    valuation,
-)
+from .arith import Factorization, carmichael_lambda, euler_phi, factorize, radical
 
 # fermat_oracle_is_carmichael does n modular exponentiations; beyond this it
 # is a test-only tool and must be forced explicitly.
@@ -74,28 +67,27 @@ def is_radimichael(n: int, f: Factorization) -> bool:
     return (n - 1) % k == 0
 
 
-def lehmer_index_from_factors(phi_factors: Iterable[tuple[int, int]],
-                              n_minus_1: int) -> int | None:
-    """Minimal k with phi | (n-1)^k, given phi's prime-power pairs (q, e).
+def lehmer_index_from_phi(phi: int, n_minus_1: int) -> int | None:
+    """Minimal k with phi | (n-1)^k, or None if no k works.
 
-    phi | (n-1)^k iff k * v_q(n-1) >= e for every pair; minimality makes k
-    the max of the ceilings, and a q not dividing n-1 means no k works
-    (None). The test suite pins this formula against the is_k_lehmer
-    big-integer oracle.
+    k is the number of steps r -> r // gcd(r, n-1) that take r = phi to 1
+    (at least 1): a step lowers every v_q(r) by v_q(n-1), or to 0, so k
+    steps leave phi / gcd(phi, (n-1)^k). A step that finds gcd 1 while
+    r > 1 leaves a prime of phi that n-1 lacks, so no k works.
     """
-    k = 1
-    for q, e in phi_factors:
-        t = valuation(q, n_minus_1)
-        if t == 0:
+    k, r = 1, phi
+    while (g := gcd(r, n_minus_1)) < r:
+        if g == 1:
             return None
-        k = max(k, -(-e // t))
+        r //= g
+        k += 1
     return k
 
 
 def lehmer_index(n: int, f: Factorization) -> int | None:
     """Minimal k with phi(n) | (n-1)^k, or None if no k works."""
     _check_composite(n, f)
-    return lehmer_index_from_factors(factorize(euler_phi(f)).factors, n - 1)
+    return lehmer_index_from_phi(euler_phi(f), n - 1)
 
 
 def is_k_lehmer(n: int, k: int, f: Factorization | None = None) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Generator, Iterable, Iterator, TextIO
 
 from .arith import (
@@ -20,8 +20,9 @@ from .arith import (
     U64_LIMIT,
     factorize,
     prime_verdict,
+    radical,
 )
-from .classify import is_carmichael, is_k_lehmer, lehmer_index_from_factors
+from .classify import is_carmichael, is_k_lehmer, lehmer_index_from_phi
 from .workers import check_workers, fork_map
 
 # Largest bit length of a tuple prime a^l * n + 1 that a spec may produce and
@@ -68,8 +69,8 @@ class TupleSpec:
         if self.window is None:
             object.__setattr__(self, "window", (self.b + 1, self.b + self.s))
         lo, hi = self.window
-        if lo > hi:
-            raise ValueError(f"empty exponent window {self.window}")
+        if not 0 <= lo <= hi:
+            raise ValueError(f"empty or negative exponent window {self.window}")
         if self.m > hi - lo + 1:
             raise ValueError(f"m={self.m} exceeds the {hi - lo + 1}-slot window")
         if self.n_min < 1 or self.n_min > self.n_max:
@@ -144,19 +145,6 @@ def scan_tuple(spec: TupleSpec, n: int) -> TupleHit:
     return TupleHit(spec, n, tuple(found))
 
 
-def _phi_valuations(a_factors, n_factors, exponent_sum: int, m: int
-                    ) -> dict[int, int]:
-    """Prime valuations of phi(N) for N a product of m tuple primes.
-
-    phi(N) = a^sum(l_i) * n^m with every l_i >= 1, so its valuations come
-    from the factorizations of a and n only, and rad(phi(N)) = rad(a*n).
-    """
-    phi_vals = {q: e * exponent_sum for q, e in a_factors}
-    for q, e in n_factors:
-        phi_vals[q] = phi_vals.get(q, 0) + e * m
-    return phi_vals
-
-
 def _certificate(a: int, b: int, n: int,
                  exponents: tuple[int, ...]) -> RadimichaelCertificate:
     """The certificate for a, b, n and the exponents, every field derived
@@ -168,9 +156,6 @@ def _certificate(a: int, b: int, n: int,
     primes = tuple(a**l * n + 1 for l in exponents)
     big_n = prod(primes)
     modulus = primes[1] - 1
-    # rad(a*n) from a and n apart: a*n itself may pass 2**64
-    phi_vals = _phi_valuations(factorize(a).factors, factorize(n).factors,
-                               sum(exponents), len(exponents))
     return RadimichaelCertificate(
         a=a,
         b=b,
@@ -178,8 +163,9 @@ def _certificate(a: int, b: int, n: int,
         exponents=exponents,
         primes=primes,
         N=big_n,
-        kappa_N=prod(phi_vals),
-        lehmer_index=lehmer_index_from_factors(phi_vals.items(), big_n - 1),
+        # rad(a*n) from a and n apart: a*n itself may pass 2**64
+        kappa_N=lcm(radical(factorize(a)), radical(factorize(n))),
+        lehmer_index=lehmer_index_from_phi(prod(p - 1 for p in primes), big_n - 1),
         non_carmichael_modulus=modulus,
         non_carmichael_residue=big_n % modulus,
         sufficient_condition_held=sum(l - b for l in exponents) < b,
@@ -302,19 +288,15 @@ def _eligible_subsets(hit: TupleHit, m: int, all_subsets: bool):
 def _on_target(hit: TupleHit, subsets: list[tuple[int, ...]],
                target: int) -> list[tuple[int, ...]]:
     """The subsets whose product has Lehmer index `target` or satisfies the
-    sufficient condition sum(l_i - b) < b, with the index computed from
-    valuations, before anything is certified."""
+    sufficient condition sum(l_i - b) < b, before anything is certified."""
     b = hit.spec.b
     primes = dict(hit.hits)
-    a_factors = factorize(hit.spec.a).factors
-    n_factors = factorize(hit.n).factors
     kept = []
     for subset in subsets:
         if sum(l - b for l in subset) >= b:
-            phi_vals = _phi_valuations(a_factors, n_factors, sum(subset),
-                                       len(subset))
-            n_minus_1 = prod(primes[l] for l in subset) - 1
-            if lehmer_index_from_factors(phi_vals.items(), n_minus_1) != target:
+            chosen = [primes[l] for l in subset]
+            phi = prod(p - 1 for p in chosen)
+            if lehmer_index_from_phi(phi, prod(chosen) - 1) != target:
                 continue
         kept.append(subset)
     return kept
@@ -398,7 +380,7 @@ def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     Uses m = k-1 and the window (max(b, 1), b+s): exponent 0 is never
     selectable, so at b = 0 the window has s slots, otherwise s+1. The
     exact index of every size-m selection of primes per n is computed from
-    valuations first, and only products of index k, or with the sufficient
+    phi(N) and N-1 first, and only products of index k, or with the sufficient
     condition sum(l_i - b) < b held, are certified; certificates of index
     k are yielded. Certificates where the sufficient condition held but
     the index came out different are appended to `diagnostics` (and

@@ -247,10 +247,11 @@ def _tally(counts: np.ndarray, plan: _Plan, records: np.ndarray) -> None:
     phi(n), lambda(n) and omega(n).
 
     n is squarefree, so it is Carmichael iff lambda(n) | n-1. Its Lehmer
-    index, the least k with phi(n) | (n-1)^k, is the number of steps
-    r -> r / gcd(r, n-1) that take r = phi(n) to 1: each step lowers every
-    v_q(r) by v_q(n-1), which is positive as rad(phi(n)) | n-1. Step k_max+1
-    stands for every index above k_max.
+    index is counted by classify.lehmer_index_from_phi's rule, here on
+    int64 batches: the number of steps r -> r / gcd(r, n-1) that take
+    r = phi(n) to 1, each step lowering every v_q(r) by v_q(n-1), which is
+    positive as rad(phi(n)) | n-1. Step k_max+1 stands for every index
+    above k_max.
     """
     n, phi, lam, omega = records
     nm1 = n - 1
@@ -589,14 +590,21 @@ def report_parse(data: bytes) -> SurveyReport:
     limit, k_max = _int_record(lines[0], ["limit", "k_max"])
     if limit < 1 or not 1 <= k_max <= K_MAX_LIMIT:
         raise ValueError(f"report header out of range: limit={limit}, k_max={k_max}")
-    rows = []
+    rows, last = [], None
     for line in lines[1:]:
         v = _int_record(line, _columns(k_max))
         row = CheckpointRow(*v[:5], tuple(v[5:5 + k_max]), *v[5 + k_max:])
+        # L1 <= ... <= Lk_max <= radimichael, and the omega classes split it
+        lehmer = [*row.lehmer, row.radimichael]
         if (min(v) < 0
-                or row.radimichael_not_carmichael != row.radimichael - row.carmichael):
+                or row.radimichael_not_carmichael != row.radimichael - row.carmichael
+                or any(a > b for a, b in zip(lehmer, lehmer[1:]))
+                or row.omega2 + row.omega3 + row.omega4plus != row.radimichael):
             raise ValueError(f"report row with a negative or inconsistent count: {line}")
+        if last and any(a > b for a, b in zip(last[1:], v[1:])):
+            raise ValueError(f"report count falls from the checkpoint before: {line}")
         rows.append(row)
+        last = v
     points = [0] + [row.checkpoint for row in rows]
     if rows and (points[-1] != limit
                  or any(a >= b for a, b in zip(points, points[1:]))):

@@ -16,7 +16,6 @@ from radimichael.arith import (
     factorize,
     prime_verdict,
     radical,
-    valuation,
 )
 
 
@@ -247,27 +246,6 @@ def test_kappa_examples():
     assert kappa(85) == 2   # rad(64); divides 84
     assert kappa(561) == 10  # rad(320)
     assert kappa(3) == 2
-
-
-def test_valuation_examples():
-    assert valuation(2, 84) == 2
-    assert valuation(5, 560) == 1
-    assert valuation(7, 1) == 0
-    with pytest.raises(ValueError):
-        valuation(2, 0)
-
-
-def test_valuation_matches_repeated_division():
-    rng = random.Random(7)
-    small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 97, 101]
-    for _ in range(10_000):
-        q = rng.choice(small_primes)
-        n = rng.randrange(1, 10**12)
-        expected, m = 0, n
-        while m % q == 0:
-            expected += 1
-            m //= q
-        assert valuation(q, n) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Classification predicates against the Fermat and big-integer oracles."""
 
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radimichael.arith import euler_phi, factorize
 from radimichael.classify import (
@@ -11,7 +15,9 @@ from radimichael.classify import (
     is_k_lehmer,
     is_radimichael,
     lehmer_index,
+    lehmer_index_from_phi,
 )
+from radimichael.construct import TupleSpec, search_radimichael
 
 CARMICHAEL_BELOW_1E4 = [561, 1105, 1729, 2465, 2821, 6601, 8911]
 
@@ -83,6 +89,44 @@ def test_lehmer_index_examples():
     assert 560**1 % 320 != 0 and 560**2 % 320 == 0
     assert lehmer_index(561, factorize(561)) == 2
     assert lehmer_index(4, factorize(4)) is None  # (4-1)^k is odd
+    assert lehmer_index_from_phi(1, 6) == 1
+    assert lehmer_index_from_phi(2**5 * 3**2, 6) == 5
+    assert lehmer_index_from_phi(2**5 * 3, 10) is None  # 3 does not divide 10
+
+
+def least_power_index(phi, n_minus_1):
+    """The least k with phi | (n-1)^k, found by trying each k, or None if
+    none up to phi.bit_length() works: were there one, the least would be
+    at most the largest exponent in phi, which is below its bit length."""
+    return next((k for k in range(1, phi.bit_length() + 1)
+                 if pow(n_minus_1, k, phi) == 0), None)
+
+
+def test_lehmer_index_from_phi_on_certificates_past_2_64():
+    # N = p1*p2*p3 with p_i = 2^l_i * n + 1, so phi(N) = prod (p_i - 1)
+    certs = search_radimichael(TupleSpec(a=2, b=0, s=64, m=3, n_min=1, n_max=10),
+                               all_subsets=True)
+    phis = [prod(p - 1 for p in cert.primes) for cert in certs]
+    big = [(phi, cert) for phi, cert in zip(phis, certs) if phi >= 2**64]
+    assert len(big) > 250
+    for phi, cert in big:
+        k = lehmer_index_from_phi(phi, cert.N - 1)
+        assert k == cert.lehmer_index == least_power_index(phi, cert.N - 1), cert.N
+
+
+PHI_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PHI_PRIMES), st.integers(0, 40),
+                          st.integers(0, 6)), min_size=1, max_size=6),
+       st.integers(1, 10**6))
+def test_lehmer_index_from_phi_matches_least_power(powers, cofactor):
+    # phi = prod q^e and n-1 = prod q^t * cofactor; a t of 0 leaves q to the
+    # cofactor, which may not supply it, the None case
+    phi = prod(q**e for q, e, _ in powers)
+    n_minus_1 = prod(q**t for q, _, t in powers) * cofactor
+    assert lehmer_index_from_phi(phi, n_minus_1) == least_power_index(phi, n_minus_1)
 
 
 def test_is_k_lehmer_examples():

@@ -46,6 +46,10 @@ def test_tuple_spec_window_defaults_and_validation():
         TupleSpec(a=2, b=0, s=3, m=2, n_min=5, n_max=2)
     with pytest.raises(ValueError):
         TupleSpec(a=2, b=0, s=9, m=4, n_min=1, n_max=1, window=(1, 3))
+    # a negative exponent makes a^l * n + 1 a float; exponent 0 is allowed
+    with pytest.raises(ValueError, match="negative"):
+        TupleSpec(a=2, b=0, s=4, m=2, n_min=1, n_max=5, window=(-2, 3))
+    assert TupleSpec(a=2, b=0, s=4, m=2, n_min=1, n_max=5, window=(0, 3)).window == (0, 3)
     # a and every n are factored, so each must lie below 2^64
     TupleSpec(a=U64_LIMIT - 1, b=0, s=2, m=2, n_min=1, n_max=1)
     TupleSpec(a=2, b=0, s=2, m=2, n_min=1, n_max=U64_LIMIT - 1)

@@ -18,7 +18,7 @@ import radimichael
 import radimichael.survey as survey_module
 import radimichael.workers as workers_module
 from radimichael.arith import TRIAL_LIMIT, carmichael_lambda, euler_phi, factorize
-from radimichael.classify import classify, is_carmichael, lehmer_index_from_factors
+from radimichael.classify import classify, is_carmichael, is_k_lehmer
 from radimichael.survey import (
     DEFAULT_K_MAX,
     K_MAX_LIMIT,
@@ -288,8 +288,9 @@ def test_tally_index_and_carmichael_rule_match_classify():
     records = np.array([found, [euler_phi(f) for f in facts],
                         [carmichael_lambda(f) for f in facts],
                         [f.omega for f in facts]], dtype=np.int64)
-    indices = [lehmer_index_from_factors(factorize(euler_phi(f)).factors, n - 1)
-               for n, f in zip(found, facts)]
+    # the least k <= K_MAX_LIMIT with phi(n) | (n-1)^k, else K_MAX_LIMIT + 1
+    indices = [next((k for k in range(1, K_MAX_LIMIT + 1) if is_k_lehmer(n, k, f)),
+                    K_MAX_LIMIT + 1) for n, f in zip(found, facts)]
     for k_max in (1, 4, DEFAULT_K_MAX, K_MAX_LIMIT):
         plan = survey_module._plan(limit, found, k_max)
         counts = np.zeros((survey_module._HIST + k_max + 1, len(found)), dtype=np.int64)
@@ -459,6 +460,10 @@ def test_report_parse_is_strict():
         {**row, "radimichael_not_carmichael": 3},  # not radimichael - carmichael
         {**row, "composites": -1},               # negative count
         {**row, "carmichael": -1, "radimichael_not_carmichael": 5},
+        {**row, "L1": row["L2"] + 1},             # L1..Lk decrease in k
+        {**row, "L2": row["radimichael"] + 1},    # Lk above radimichael
+        {**row, "L2": 10**6},
+        {**row, "omega2_radimichael": row["omega2_radimichael"] + 5},  # omega sum
     ]
     for bad in bad_rows:
         with pytest.raises(ValueError):
@@ -471,6 +476,10 @@ def test_report_parse_is_strict():
         [{**row10, "checkpoint": 0}, row],       # below 1
         [row10],                                 # stops short of the limit
     ]
+    # the counts of the two checkpoints swapped: each row is valid alone,
+    # but every count that grows from 10 to 100 now falls
+    assert row10["radimichael"] < row["radimichael"]
+    bad_orders.append([{**row, "checkpoint": 10}, {**row10, "checkpoint": 100}])
     for rows in bad_orders:
         with pytest.raises(ValueError):
             parse(head, *map(json.dumps, rows))
