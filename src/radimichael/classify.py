@@ -7,7 +7,6 @@ encoded here as an int, or None when no such k exists (n not radimichael).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .arith import Factorization, carmichael_lambda, euler_phi, factorize, radical
 
@@ -72,16 +71,22 @@ def lehmer_index_from_phi(phi: int, n_minus_1: int) -> int | None:
 
     k is the number of steps r -> r // gcd(r, n-1) that take r = phi to 1
     (at least 1): a step lowers every v_q(r) by v_q(n-1), or to 0, so k
-    steps leave phi / gcd(phi, (n-1)^k). A step that finds gcd 1 while
-    r > 1 leaves a prime of phi that n-1 lacks, so no k works.
+    steps leave phi / gcd(phi, (n-1)^k). Rather than take k steps, square
+    (n-1)^(2^j) mod phi until it is 0, then read k below that 2^j off bit
+    by bit from the powers: O(log k) products mod phi. Every v_q(phi) is
+    below phi's bit length, so a power still nonzero there means no k works.
     """
-    k, r = 1, phi
-    while (g := gcd(r, n_minus_1)) < r:
-        if g == 1:
+    powers = [n_minus_1 % phi]
+    while powers[-1]:
+        if 1 << (len(powers) - 1) >= phi.bit_length():
             return None
-        r //= g
-        k += 1
-    return k
+        powers.append(powers[-1] ** 2 % phi)
+    # the largest e below 2^j with (n-1)^e mod phi nonzero; k = e + 1
+    e, acc = 0, 1
+    for j in range(len(powers) - 2, -1, -1):
+        if x := acc * powers[j] % phi:
+            e, acc = e + (1 << j), x
+    return e + 1
 
 
 def lehmer_index(n: int, f: Factorization) -> int | None:

@@ -131,11 +131,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
     # refuse oversized records before any primality test runs
     for i, cert in enumerate(certs, start=1):
-        bits = max((p.bit_length() for p in cert.primes), default=0)
-        if bits > construct.MAX_COMPONENT_BITS:
-            print(f"error: record {i}: a {bits}-bit component exceeds the "
-                  f"{construct.MAX_COMPONENT_BITS}-bit cap", file=sys.stderr)
-            return 3
+        for what, bits, cap in (
+                ("component", max((p.bit_length() for p in cert.primes), default=0),
+                 construct.MAX_COMPONENT_BITS),
+                ("N", cert.N.bit_length(), construct.MAX_CERTIFICATE_BITS)):
+            if bits > cap:
+                print(f"error: record {i}: a {bits}-bit {what} exceeds the "
+                      f"{cap}-bit cap", file=sys.stderr)
+                return 3
     failures = 0
     for i, cert in enumerate(certs, start=1):
         if not construct.verify_certificate(cert):

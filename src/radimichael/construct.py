@@ -258,6 +258,15 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
         if any(l * (a.bit_length() - 1) >= p.bit_length()
                for l, p in zip(exponents, primes)):
             return False
+        # N is capped as a spec caps it; a product past the cap is refused
+        # before it is built: primes matched one at a time stop a forged
+        # record at its first wrong one, then each adds >= bit_length - 1 bits
+        if cert.N.bit_length() > MAX_CERTIFICATE_BITS:
+            return False
+        if any(p != a**l * n + 1 for l, p in zip(exponents, primes)):
+            return False
+        if sum(p.bit_length() - 1 for p in primes) >= MAX_CERTIFICATE_BITS:
+            return False
         if cert != _certificate(a, cert.b, n, exponents):
             return False
         if not all(prime_verdict(p) for p in primes):

@@ -247,11 +247,11 @@ def _tally(counts: np.ndarray, plan: _Plan, records: np.ndarray) -> None:
     phi(n), lambda(n) and omega(n).
 
     n is squarefree, so it is Carmichael iff lambda(n) | n-1. Its Lehmer
-    index is counted by classify.lehmer_index_from_phi's rule, here on
-    int64 batches: the number of steps r -> r / gcd(r, n-1) that take
-    r = phi(n) to 1, each step lowering every v_q(r) by v_q(n-1), which is
-    positive as rad(phi(n)) | n-1. Step k_max+1 stands for every index
-    above k_max.
+    index, the value of classify.lehmer_index_from_phi, is counted here on
+    int64 batches step by step: the number of steps r -> r / gcd(r, n-1)
+    that take r = phi(n) to 1, each step lowering every v_q(r) by v_q(n-1),
+    which is positive as rad(phi(n)) | n-1. Step k_max+1 stands for every
+    index above k_max.
     """
     n, phi, lam, omega = records
     nm1 = n - 1

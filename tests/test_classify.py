@@ -94,6 +94,21 @@ def test_lehmer_index_examples():
     assert lehmer_index_from_phi(2**5 * 3, 10) is None  # 3 does not divide 10
 
 
+def test_lehmer_index_from_phi_around_powers_of_two_and_in_the_thousands():
+    # k = v_2(phi) when n-1 = 2 * odd; at and around each 2^j the search
+    # for k changes its number of squarings
+    for k in range(1, 70):
+        assert lehmer_index_from_phi(2**k, 2 * 3**5) == k
+        assert lehmer_index_from_phi(2**k * 3**k, 6 * 3) == k
+        assert lehmer_index_from_phi(2**k * 5, 6) is None
+    # the index of construct's (a, n) = (2, 1) at exponents (1, 1000, 2000),
+    # and the largest an N under the certificate cap can have
+    big_n = 3 * (2**1000 + 1) * (2**2000 + 1)
+    assert lehmer_index_from_phi(2**3001, big_n - 1) == 3001
+    assert lehmer_index_from_phi(2**14283, 2) == 14283
+    assert lehmer_index_from_phi(2**14283 * 7, 2) is None
+
+
 def least_power_index(phi, n_minus_1):
     """The least k with phi | (n-1)^k, found by trying each k, or None if
     none up to phi.bit_length() works: were there one, the least would be

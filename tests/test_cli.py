@@ -16,6 +16,7 @@ import pytest
 import radimichael
 from radimichael.cli import main
 from radimichael.construct import (
+    MAX_CERTIFICATE_BITS,
     MAX_COMPONENT_BITS,
     certificate_from_line,
     certificate_to_line,
@@ -381,6 +382,27 @@ def test_verify_refuses_records_above_component_cap(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3
     assert "record 2" in err and str(MAX_COMPONENT_BITS) in err
+    assert "FAIL" not in out  # refused before any record is verified
+
+
+def test_verify_refuses_records_above_the_certificate_cap(tmp_path, capsys):
+    path = _write_certs(capsys, tmp_path)
+    line = path.read_text().splitlines()[0]
+    cert = certificate_from_line(line)
+    # 2047 components 2^l + 1, each under the component cap, whose product
+    # is far past the N cap: it fails without the product being built
+    exponents = tuple(range(1, MAX_COMPONENT_BITS))
+    path.write_text(certificate_to_line(replace(
+        cert, n=1, exponents=exponents,
+        primes=tuple(2**l + 1 for l in exponents), N=3)) + "\n")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1 and "record 1: FAIL" in out
+
+    big_n = certificate_to_line(replace(cert, N=2**MAX_CERTIFICATE_BITS))
+    path.write_text(line + "\n" + big_n + "\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3
+    assert "record 2" in err and str(MAX_CERTIFICATE_BITS) in err
     assert "FAIL" not in out  # refused before any record is verified
 
 

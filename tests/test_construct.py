@@ -395,6 +395,23 @@ def test_verify_rejects_huge_exponent_without_building_the_power():
     assert not verify_certificate(replace(cert, exponents=(1, 10**9)))
 
 
+def test_verify_refuses_a_product_past_the_cap_before_building_it(monkeypatch):
+    # 2047 components 2^l + 1, each under the component cap: phi of their
+    # product is 2^2096128, which would cost its Lehmer index to build
+    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    exponents = tuple(range(1, construct.MAX_COMPONENT_BITS))
+    primes = tuple(2**l + 1 for l in exponents)
+    built = []
+    monkeypatch.setattr(construct, "_certificate", lambda *args: built.append(args))
+    for big_n in (3, 2**construct.MAX_CERTIFICATE_BITS):
+        assert not verify_certificate(
+            replace(cert, n=1, exponents=exponents, primes=primes, N=big_n))
+    # a listed prime that is not a^l * n + 1 stops the check before the rest
+    assert not verify_certificate(
+        replace(cert, n=2**10**6, exponents=exponents, primes=primes))
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
