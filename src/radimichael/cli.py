@@ -60,7 +60,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         args.limit,
         args.k_max,
         workers=args.workers,
-        checkpoints=args.checkpoint or None,
+        checkpoints=args.checkpoint,
         memory_budget=int(budget) if budget else None,
     )
     data = report_write(report, args.format)
@@ -131,14 +131,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
     # refuse oversized records before any primality test runs
     for i, cert in enumerate(certs, start=1):
-        for what, bits, cap in (
-                ("component", max((p.bit_length() for p in cert.primes), default=0),
-                 construct.MAX_COMPONENT_BITS),
-                ("N", cert.N.bit_length(), construct.MAX_CERTIFICATE_BITS)):
-            if bits > cap:
-                print(f"error: record {i}: a {bits}-bit {what} exceeds the "
-                      f"{cap}-bit cap", file=sys.stderr)
-                return 3
+        if reason := construct.oversize(cert):
+            print(f"error: record {i}: {reason}", file=sys.stderr)
+            return 3
     failures = 0
     for i, cert in enumerate(certs, start=1):
         if not construct.verify_certificate(cert):

@@ -214,12 +214,11 @@ def non_carmichael_check(cert: RadimichaelCertificate) -> bool:
     """Confirm the witness that N is not Carmichael.
 
     True iff the modulus is p_2 - 1 and N mod (p_2 - 1) is p_1 != 1; were
-    N Carmichael, Korselt would force that residue to be 1. For N below
-    2**64 the verdict is additionally cross-checked against the Korselt test
-    itself (an independent route: lcm of p-1 instead of the residue
-    argument). The cross-check uses the certificate's listed primes;
-    verify_certificate establishes their primality and product before
-    relying on this.
+    N Carmichael, Korselt would force that residue to be 1. The verdict is
+    additionally cross-checked against the Korselt test itself (an
+    independent route: lcm of p-1 instead of the residue argument). The
+    cross-check uses the certificate's listed primes; verify_certificate
+    establishes their primality and product before relying on this.
     """
     try:
         p1, p2 = cert.primes[:2]
@@ -228,13 +227,24 @@ def non_carmichael_check(cert: RadimichaelCertificate) -> bool:
             return False
         if residue != p1 or p1 == 1:
             return False
-        if cert.N < U64_LIMIT:
-            f = Factorization(cert.N, tuple((p, 1) for p in cert.primes))
-            if is_carmichael(cert.N, f):
-                return False
+        f = Factorization(cert.N, tuple((p, 1) for p in cert.primes))
+        if is_carmichael(cert.N, f):
+            return False
     except (ValueError, TypeError, ZeroDivisionError):
         return False
     return True
+
+
+def oversize(cert: RadimichaelCertificate) -> str | None:
+    """Why the record is past a size cap, or None: a listed component over
+    MAX_COMPONENT_BITS, or a listed N over MAX_CERTIFICATE_BITS."""
+    for what, bits, cap in (
+            ("component", max((p.bit_length() for p in cert.primes), default=0),
+             MAX_COMPONENT_BITS),
+            ("N", cert.N.bit_length(), MAX_CERTIFICATE_BITS)):
+        if bits > cap:
+            return f"a {bits}-bit {what} exceeds the {cap}-bit cap"
+    return None
 
 
 def verify_certificate(cert: RadimichaelCertificate) -> bool:
@@ -258,14 +268,15 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
         if any(l * (a.bit_length() - 1) >= p.bit_length()
                for l, p in zip(exponents, primes)):
             return False
-        # N is capped as a spec caps it; a product past the cap is refused
-        # before it is built: primes matched one at a time stop a forged
-        # record at its first wrong one, then each adds >= bit_length - 1 bits
-        if cert.N.bit_length() > MAX_CERTIFICATE_BITS:
+        # components and N are capped as a spec caps them, and a product
+        # longer than the listed N is refused before it is built: primes
+        # matched one at a time stop a forged record at its first wrong
+        # one, then each adds >= bit_length - 1 bits
+        if oversize(cert) is not None:
             return False
         if any(p != a**l * n + 1 for l, p in zip(exponents, primes)):
             return False
-        if sum(p.bit_length() - 1 for p in primes) >= MAX_CERTIFICATE_BITS:
+        if sum(p.bit_length() - 1 for p in primes) >= cert.N.bit_length():
             return False
         if cert != _certificate(a, cert.b, n, exponents):
             return False
@@ -284,63 +295,46 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
 # searches
 # ---------------------------------------------------------------------------
 
-def _eligible_subsets(hit: TupleHit, m: int, all_subsets: bool):
-    usable = [l for l, _ in hit.hits if l >= 1]
-    if len(usable) < m:
-        return
-    if all_subsets:
-        yield from combinations(usable, m)
-    else:
-        yield tuple(usable[:m])
-
-
-def _on_target(hit: TupleHit, subsets: list[tuple[int, ...]],
-               target: int) -> list[tuple[int, ...]]:
-    """The subsets whose product has Lehmer index `target` or satisfies the
-    sufficient condition sum(l_i - b) < b, before anything is certified."""
-    b = hit.spec.b
-    primes = dict(hit.hits)
-    kept = []
-    for subset in subsets:
-        if sum(l - b for l in subset) >= b:
-            chosen = [primes[l] for l in subset]
-            phi = prod(p - 1 for p in chosen)
-            if lehmer_index_from_phi(phi, prod(chosen) - 1) != target:
-                continue
-        kept.append(subset)
-    return kept
-
-
 def _certified(spec: TupleSpec, n: int, all_subsets: bool,
                target: int | None) -> list[RadimichaelCertificate]:
-    """Certify the eligible products for n; with a `target` index, only
-    those _on_target keeps."""
+    """Scan n and certify its products of m usable primes: the m smallest,
+    or with all_subsets every size-m selection. With a `target` index only
+    the selections whose product has that index, computed from phi(N) and
+    N-1, or that satisfy the sufficient condition sum(l_i - b) < b are
+    certified."""
     hit = scan_tuple(spec, n)
-    subsets = list(_eligible_subsets(hit, spec.m, all_subsets))
-    if target is not None and subsets:
-        subsets = _on_target(hit, subsets, target)
+    usable = [l for l, _ in hit.hits if l >= 1]
+    if len(usable) < spec.m:
+        return []
+    subsets = combinations(usable, spec.m) if all_subsets else [tuple(usable[:spec.m])]
+    if target is not None:
+        primes = dict(hit.hits)
+
+        def on_target(subset: tuple[int, ...]) -> bool:
+            if sum(l - spec.b for l in subset) < spec.b:
+                return True
+            chosen = [primes[l] for l in subset]
+            return lehmer_index_from_phi(prod(p - 1 for p in chosen),
+                                         prod(chosen) - 1) == target
+        subsets = filter(on_target, subsets)
     return [build_radimichael(hit, spec.m, subset) for subset in subsets]
 
 
-def _search(spec: TupleSpec, all_subsets: bool, workers: int,
-            target: int | None) -> Iterator[list[RadimichaelCertificate]]:
-    """_certified for each n of spec's range, one list per n, in n order
-    for any worker count: unit u of U takes every U-th n from n_min + u,
-    so taking the units' pieces in turn visits n in order."""
+def _search(spec: TupleSpec, all_subsets: bool, workers: int, target: int | None,
+            diagnostics: list[RadimichaelCertificate] | None
+            ) -> Generator[RadimichaelCertificate, None, None]:
+    """_certified's certificates for each n of spec's range, in n order for
+    any worker count: unit u of U takes every U-th n from n_min + u, so
+    taking the units' pieces in turn visits n in order.
+
+    With a `target` index only certificates of that index are yielded; the
+    others, which only the sufficient condition let through, are logged and
+    go to `diagnostics`. Closing this stops the search's workers.
+    """
     def work(unit: int, units: int) -> Iterator[list[RadimichaelCertificate]]:
         return (_certified(spec, n, all_subsets, target)
                 for n in range(spec.n_min + unit, spec.n_max + 1, units))
-    return fork_map(work, min(workers, spec.n_max - spec.n_min + 1))
-
-
-def _certificates(pieces: Iterator[list[RadimichaelCertificate]],
-                  target: int | None,
-                  diagnostics: list[RadimichaelCertificate] | None
-                  ) -> Generator[RadimichaelCertificate, None, None]:
-    """Every certificate of the pieces, or with a `target` index only those
-    of that index: the others, which only the sufficient condition let
-    through, are logged and go to `diagnostics`. Closing this closes
-    `pieces`, which stops the search's workers."""
+    pieces = fork_map(work, min(workers, spec.n_max - spec.n_min + 1))
     try:
         for cert in chain.from_iterable(pieces):
             if target is None or cert.lehmer_index == target:
@@ -369,7 +363,7 @@ def stream_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
     the generator stops the search and its workers.
     """
     check_workers(workers)
-    return _certificates(_search(spec, all_subsets, workers, None), None, None)
+    return _search(spec, all_subsets, workers, None, None)
 
 
 def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
@@ -408,7 +402,7 @@ def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
         return (cert for cert in ())  # a generator, closable like the others
     spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0], n_max=n_range[-1],
                      window=(max(b, 1), b + s))
-    return _certificates(_search(spec, True, workers, k), k, diagnostics)
+    return _search(spec, True, workers, k, diagnostics)
 
 
 def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
@@ -452,10 +446,8 @@ _CERT_FIELDS = {
 
 
 def certificate_to_line(cert: RadimichaelCertificate) -> str:
-    record = {name: getattr(cert, name) for name in _CERT_FIELDS}
-    record["exponents"] = list(cert.exponents)
-    record["primes"] = list(cert.primes)
-    return json.dumps(record, separators=(",", ":"))
+    return json.dumps({name: getattr(cert, name) for name in _CERT_FIELDS},
+                      separators=(",", ":"))
 
 
 def certificate_from_line(line: str) -> RadimichaelCertificate:

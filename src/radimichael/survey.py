@@ -471,7 +471,7 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     search's batches hold at most _BATCH nodes, terms or records at a time,
     and the prime counts are taken in this process. Work units are pure and
     their integer tallies are summed, so the report is identical for any
-    `workers`.
+    `workers`. No or empty `checkpoints` means default_checkpoints(limit).
     """
     check_workers(workers)
     if limit < 1:
@@ -480,9 +480,11 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
         raise ValueError(f"survey limit capped at {SURVEY_LIMIT}")
     if not 1 <= k_max <= K_MAX_LIMIT:
         raise ValueError(f"k_max must lie in [1, {K_MAX_LIMIT}], got {k_max}")
-    if checkpoints is None:
+    if not checkpoints:
         checkpoints = default_checkpoints(limit)
     else:
+        if any(type(c) is not int for c in checkpoints):
+            raise ValueError("checkpoints must be ints")
         checkpoints = sorted(set(checkpoints))
         if any(c < 1 or c > limit for c in checkpoints):
             raise ValueError("checkpoints must lie in [1, limit]")

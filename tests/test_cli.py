@@ -385,6 +385,18 @@ def test_verify_refuses_records_above_component_cap(tmp_path, capsys):
     assert "FAIL" not in out  # refused before any record is verified
 
 
+def test_verify_refuses_a_record_that_verify_certificate_fails_on_size(tmp_path, capsys):
+    # the record test_verify_fails_an_over_cap_component_before_any_primality_test
+    # fails in the library: 2,210- and 2,818-bit components, N under its cap
+    from radimichael import construct
+    cert = construct._certificate(2, 0, 3, (2208, 2816))
+    path = tmp_path / "big.jsonl"
+    path.write_text(certificate_to_line(cert) + "\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: record 1: a 2818-bit component exceeds the 2048-bit cap\n"
+
+
 def test_verify_refuses_records_above_the_certificate_cap(tmp_path, capsys):
     path = _write_certs(capsys, tmp_path)
     line = path.read_text().splitlines()[0]

@@ -390,6 +390,33 @@ def test_theorem2_never_scans_exponent_zero(monkeypatch):
         theorem2_search(2, 18, 16, range(1, 2))
 
 
+def test_verify_fails_an_over_cap_component_before_any_primality_test(monkeypatch):
+    # 2^2208 * 3 + 1 and 2^2816 * 3 + 1: 2,210 and 2,818 bits, N far under
+    # its own cap, so only the component cap stops the costly verdicts
+    cert = construct._certificate(2, 0, 3, (2208, 2816))
+    assert construct.oversize(cert) == "a 2818-bit component exceeds the 2048-bit cap"
+    calls = []
+    monkeypatch.setattr(construct, "prime_verdict", lambda p: calls.append(p) or True)
+    assert not verify_certificate(cert)
+    assert calls == []
+
+
+def test_korselt_cross_check_runs_past_2_64(monkeypatch):
+    certs = theorem2_search(2, 4, 16, range(2000, 2100))
+    big = [cert for cert in certs if cert.N >= U64_LIMIT]
+    assert big
+    calls = []
+    real = construct.is_carmichael
+
+    def counting(n, f):
+        calls.append(n)
+        return real(n, f)
+
+    monkeypatch.setattr(construct, "is_carmichael", counting)
+    assert all(verify_certificate(cert) for cert in big)
+    assert calls == [cert.N for cert in big]
+
+
 def test_verify_rejects_huge_exponent_without_building_the_power():
     cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
     assert not verify_certificate(replace(cert, exponents=(1, 10**9)))

@@ -234,6 +234,12 @@ def test_survey_custom_checkpoints_and_validation():
     assert [row.checkpoint for row in report.rows] == [50, 100, 200]
     with pytest.raises(ValueError):
         survey(100, checkpoints=[500])
+    # an empty list means the default checkpoints, as None does
+    assert survey(100, checkpoints=[]) == survey(100)
+    # only ints: no bool, float or numeric string reaches numpy
+    for bad in (True, 50.0, "50"):
+        with pytest.raises(ValueError, match="ints"):
+            survey(100, checkpoints=[bad])
     with pytest.raises(ValueError):
         survey(0)
     with pytest.raises(ValueError):
