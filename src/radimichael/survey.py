@@ -7,9 +7,11 @@ Write n = p*c with p the largest prime of n. As p = 1 (mod rad(p-1)), the
 condition at p is rad(p-1) | c-1. With r = isqrt(limit), the survey finds
 every such n in two parts, from one spf table over [0, r]:
 
-- p > r, so c <= r. p-1 = d is built from the primes of c-1 only; each d
-  with r <= d < limit // c that meets the congruence the primes of c
-  impose gets one deterministic primality verdict on d+1.
+- p > r, so c <= r. p-1 = d is built from the primes of c-1 only, on
+  int64 arrays for a chunk of c values at a time; each d with
+  r <= d < limit // c that meets the congruence the primes of c impose
+  has d+1 decided by trial division by the primes up to isqrt(d+1), all
+  in the table since d+1 <= limit / 3.
 - p <= r. A depth-first search over descending primes carries the product
   P of the primes taken and L = lcm rad(q-1) over them, pruning a prime q
   that divides L or whose rad(q-1) meets P. The rest of n is a cofactor
@@ -34,15 +36,21 @@ count of its own.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from math import isqrt, lcm, prod
+from math import isqrt
 from typing import Iterator, NamedTuple
 
+# numpy's OpenBLAS starts a worker thread for every CPU but one at import.
+# This package never calls BLAS, yet each idle worker spins for about 0.1 s
+# of CPU in every process and must be stopped again at each fork. A value
+# the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from .arith import SMALL_PRIMES, Factorization, prime_verdict
+from .arith import SMALL_PRIMES, Factorization
 from .workers import check_workers, fork_map
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
@@ -56,10 +64,10 @@ SURVEY_LIMIT = 10**8                # desk-scale cap
 # instead frees heap that the first call reuses, which hides up to 1 MB.
 # build_spf grows 0.5-0.7 MB on a first call whatever its size, plus 5.6-5.8
 # bytes per entry at 10**6-10**8: its 4-byte entries and the zero mask and
-# prime indices of its last step. A survey grows 1.6 MB at 10**6, 2.2 MB at
-# 10**7 and 3.65-3.76 MB at 10**8: about 1.4 MB on a first call whatever the
+# prime indices of its last step. A survey grows 1.6 MB at 10**6, 2.1 MB at
+# 10**7 and 3.0-3.2 MB at 10**8: about 1.4 MB on a first call whatever the
 # limit, mostly the first touch of the numpy code the batched search runs,
-# plus 210-240 bytes per integer of [0, isqrt(limit)] in each process for
+# plus 160-215 bytes per integer of [0, isqrt(limit)] in each process for
 # the table, the plan arrays and the search; the prime counts, taken
 # afterwards in the calling process, stay under that peak.
 _BASE_BYTES = 1 << 20
@@ -187,6 +195,11 @@ _WALK_TERMS = 64
 # per-number search it replaced; 4096 grew 1.85 MB at 10**7, the whole charge
 _BATCH = 1024
 
+# the most c values the p > root part takes at once. Taking all 1,008 c
+# values of 10**7 at once adds 1.1 MB to a survey's peak RSS, and all 3,112
+# of 10**8 add 8.6 MB; 64 and 128 saved nothing and were slower
+_CHUNK = 256
+
 
 class _Plan(NamedTuple):
     """What every work unit reads, all derived from the table over [0, root].
@@ -272,31 +285,70 @@ def _tally(counts: np.ndarray, plan: _Plan, records: np.ndarray) -> None:
     counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
 
 
-def _large_prime_part(plan: _Plan, cs: list[int]) -> Iterator[np.ndarray]:
-    """Records of every radimichael n = p*c with c in cs and prime p > root."""
-    limit, root = plan.limit, plan.root
-    for c, (L, _, phi, lam, omega) in zip(cs, plan.cofactors[:, cs].T.tolist()):
-        # p*c = 1 (mod L), so d = p-1 = c^-1 - 1 (mod L). L is squarefree,
-        # so a prime ell of both L and c-1 divides d exactly when it divides
-        # the residue: it is forced into d or kept out. 2 is always forced,
-        # as p is odd.
-        residue = (pow(c, -1, L) - 1) % L
-        ells = [f for f, _ in plan.table.factorize(c - 1).factors
-                if L % f or residue % f == 0]
-        ds = [prod(f for f in ells if L % f == 0)]
+def _large_prime_part(plan: _Plan, cs: np.ndarray) -> Iterator[np.ndarray]:
+    """Records of every radimichael n = p*c with c in cs and prime p > root.
+
+    p*c = 1 (mod L), so d = p-1 = c^-1 - 1 (mod L), and rad(d) | c-1. L is
+    squarefree, so a prime ell of both L and c-1 divides d exactly when it
+    divides the residue: it is forced into d or kept out. 2 is always
+    forced, as p is odd. The c values are taken _CHUNK at a time, and each
+    d is an int64 entry beside the index of its c.
+    """
+    limit, root, spf = plan.limit, plan.root, plan.table.entries
+    primes = plan.primes.tolist()
+    for start in range(0, len(cs), _CHUNK):
+        c = cs[start:start + _CHUNK]
+        L, _, phi, lam, omega = plan.cofactors[:, c]
+        residue = (_inverse(c, L) - 1) % L
         top = limit // c - 1
+        # peel the primes of c-1 off the table, least first, as _plan does;
+        # ells[j] holds each c's j-th prime if d may take it, else 1, and d
+        # starts as the product of the forced ones
+        d, ells, m = np.ones_like(c), [], c - 1
+        while (p := spf[m].astype(np.int64)).max() > 1:
+            while (div := (p > 1) & (m % p == 0)).any():
+                m[div] //= p[div]
+            forced = L % p == 0
+            ell = np.where(~forced | (residue % p == 0), p, 1)
+            d *= np.where(forced, ell, 1)
+            ells.append(ell)
+        owner = np.arange(len(c))
         for ell in ells:
-            grown = []
-            for d in ds:
-                d *= ell
-                while d <= top:
-                    grown.append(d)
-                    d *= ell
-            ds += grown
-        found = [(c * (d + 1), phi * d, lcm(lam, d), omega + 1) for d in ds
-                 if d >= root and d % L == residue and prime_verdict(d + 1)]
-        if found:
-            yield np.array(found, dtype=np.int64).T
+            # ell | c-1 and d <= max(top, c-1), so d*ell < max(c*(top+1), c*c)
+            # <= limit: no product here leaves int64
+            live = ell[owner] > 1
+            grown, owners = [d], [owner]
+            g, o = d[live] * ell[owner[live]], owner[live]
+            while g.size:
+                keep = g <= top[o]
+                g, o = g[keep], o[keep]
+                grown.append(g)
+                owners.append(o)
+                g = g * ell[o]
+            d, owner = np.concatenate(grown), np.concatenate(owners)
+        hit = (d >= root) & (d % L[owner] == residue[owner])
+        d, owner = d[hit], owner[hit]
+        # d+1 is odd and at most limit // 3, so trial division by the odd
+        # primes up to isqrt(d+1), all in primes, decides it. An entry leaves
+        # the live set as prime once it is below p*p, or as composite when p
+        # divides it. (Sorting the entries instead first touches numpy's
+        # sort code, 0.3 MB of peak RSS.)
+        x, idx, prime = d + 1, np.arange(len(d)), np.ones(len(d), dtype=bool)
+        for p in primes:
+            keep = x >= p * p
+            x, idx = x[keep], idx[keep]
+            if not x.size:
+                break
+            div = x % p == 0
+            prime[idx[div]] = False
+            x, idx = x[~div], idx[~div]
+        if prime.any():
+            d, owner = d[prime], owner[prime]
+            # c*(d+1) <= limit as d <= top; phi(c)*d < c*d < limit; and
+            # np.lcm(lambda(c), d) divides by the gcd first, so no step of it
+            # exceeds lambda(c)*d <= phi(c)*d
+            yield np.stack([c[owner] * (d + 1), phi[owner] * d, np.lcm(lam[owner], d),
+                            omega[owner] + 1])
 
 
 def _inverse(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -402,6 +454,8 @@ def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
         node, k = _spread(sizes, done)
         stack[-1][2] = done + len(node)
         parents, q = parents[:, node], primes[k]
+        # np.lcm divides by the gcd first, so no step of it exceeds
+        # L*rad(q-1) < limit*root, which stays in int64 up to about 4*10**12
         L2 = np.lcm(parents[1], rad[q])
         # q | L or a prime of P dividing rad(q-1) would divide both n and
         # n-1; n = 1 (mod L2) and 1 < n <= limit
@@ -449,7 +503,7 @@ def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
     counts = np.zeros((_HIST + plan.k_max + 1, len(plan.checkpoints)), dtype=np.int64)
     cs = np.flatnonzero(plan.cofactors[0, 3:plan.limit // (plan.root + 1) + 1]) + 3
     pending, held = [], 0
-    for records in chain(_large_prime_part(plan, cs[unit::units].tolist()),
+    for records in chain(_large_prime_part(plan, cs[unit::units]),
                          _small_prime_part(plan, plan.primes[unit::units])):
         pending.append(records)
         held += records.shape[1]

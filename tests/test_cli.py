@@ -49,6 +49,31 @@ def test_cli_import_loads_every_submodule_but_no_fork_or_logging_machinery():
     assert json.loads(proc.stdout) == [True] * len(submodules) + [True, False, False]
 
 
+def test_cli_import_starts_no_blas_thread_and_keeps_a_set_thread_count():
+    # numpy's OpenBLAS would start an idle thread per CPU; the survey module
+    # limits it to one before numpy loads, unless the variable is already set
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs Linux's /proc/self/status")
+    code = textwrap.dedent("""
+        import os
+        import radimichael.cli
+        with open("/proc/self/status") as status:
+            threads = next(line.split()[1] for line in status
+                           if line.startswith("Threads:"))
+        print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+    """)
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def variable_and_threads(**preset):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env={**env, **preset, "PYTHONPATH": src}).stdout.split()
+
+    assert variable_and_threads() == ["1", "1"]
+    assert variable_and_threads(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

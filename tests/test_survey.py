@@ -2,11 +2,12 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,51 @@ def test_inverse_matches_pow(pairs):
     assume(pairs)
     a, m = (np.array(column, dtype=np.int64) for column in zip(*pairs))
     assert survey_module._inverse(a, m).tolist() == [pow(x, -1, y) for x, y in pairs]
+
+
+def naive_radimichael_records(limit):
+    """(n, phi(n), lambda(n), omega(n), largest prime) of every radimichael
+    n <= limit, ascending: odd, composite, squarefree, rad(q-1) | n-1 for
+    each prime q | n."""
+    table = build_spf(limit)
+    found = []
+    for n in range(3, limit + 1, 2):
+        factors = table.factorize(n).factors
+        qs = [q for q, _ in factors]
+        if (len(qs) > 1 and all(e == 1 for _, e in factors)
+                and all((n - 1) % ell == 0 for q in qs
+                        for ell, _ in table.factorize(q - 1).factors)):
+            found.append((n, prod(q - 1 for q in qs), lcm(*(q - 1 for q in qs)),
+                          len(qs), qs[-1]))
+    return found
+
+
+def sorted_records(parts):
+    parts = list(parts)
+    return sorted(map(tuple, np.hstack(parts).T.tolist())) if parts else []
+
+
+def test_both_parts_enumerate_exactly_the_naive_radimichael_numbers(monkeypatch):
+    # every limit up to 1500 and 20 seeded ones up to 2 * 10^5; the p > root
+    # part must give exactly the n whose largest prime p exceeds isqrt(limit)
+    limits = list(range(1, 1501)) + random.Random(18).sample(range(1501, 2 * 10**5), 19)
+    limits.append(2 * 10**5)
+    naive = naive_radimichael_records(2 * 10**5)
+    # some limit is itself a radimichael n from the p > root part
+    assert any(n in limits and p > isqrt(n) for n, *_, p in naive)
+    for limit in limits:
+        plan = survey_module._plan(limit, [limit], DEFAULT_K_MAX)
+        cs = np.flatnonzero(plan.cofactors[0, 3:limit // (plan.root + 1) + 1]) + 3
+        large = sorted_records(survey_module._large_prime_part(plan, cs))
+        small = sorted_records(survey_module._small_prime_part(plan, plan.primes))
+        below = [r for r in naive if r[0] <= limit]
+        assert large == [r[:4] for r in below if r[4] > plan.root], limit
+        assert sorted(large + small) == [r[:4] for r in below], limit
+        if limit > 1500:
+            # the same records when the c values come 7 at a time
+            with monkeypatch.context() as patch:
+                patch.setattr(survey_module, "_CHUNK", 7)
+                assert sorted_records(survey_module._large_prime_part(plan, cs)) == large
 
 
 def test_tally_index_and_carmichael_rule_match_classify():
