@@ -35,10 +35,6 @@ MAX_COMPONENT_BITS = 2048
 MAX_CERTIFICATE_BITS = (10**4300).bit_length() - 1
 
 
-class InsufficientHitsError(ValueError):
-    """A tuple hit does not contain enough primes to build the request."""
-
-
 class CertificateViolationError(RuntimeError):
     """A freshly built certificate failed its own re-verification."""
 
@@ -98,14 +94,6 @@ def _component_bits(a: int, l: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class TupleHit:
-    """Primes found in one scanned tuple: (exponent, prime) pairs, ascending."""
-    spec: TupleSpec
-    n: int
-    hits: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class RadimichaelCertificate:
     """Everything needed to independently re-check one constructed N.
 
@@ -131,8 +119,9 @@ class RadimichaelCertificate:
     gcd_a_n: int
 
 
-def scan_tuple(spec: TupleSpec, n: int) -> TupleHit:
-    """List exactly the window exponents l with a^l * n + 1 prime."""
+def scan_tuple(spec: TupleSpec, n: int) -> tuple[tuple[int, int], ...]:
+    """The (l, a^l * n + 1) pairs, ascending, for exactly the window
+    exponents l with a^l * n + 1 prime."""
     if not spec.n_min <= n <= spec.n_max:
         raise ValueError(f"n={n} outside [{spec.n_min}, {spec.n_max}]")
     lo, hi = spec.window
@@ -142,7 +131,7 @@ def scan_tuple(spec: TupleSpec, n: int) -> TupleHit:
         if prime_verdict(value + 1):
             found.append((l, value + 1))
         value *= spec.a
-    return TupleHit(spec, n, tuple(found))
+    return tuple(found)
 
 
 def _certificate(a: int, b: int, n: int,
@@ -175,36 +164,27 @@ def _certificate(a: int, b: int, n: int,
     )
 
 
-def build_radimichael(hit: TupleHit, m: int,
-                      subset: tuple[int, ...] | None = None) -> RadimichaelCertificate:
-    """Certify the product of m primes from a tuple hit.
+def build_radimichael(spec: TupleSpec, n: int,
+                      exponents: tuple[int, ...]) -> RadimichaelCertificate:
+    """Certify the product of the primes a^l * n + 1 for the given exponents.
 
-    By default the m smallest primes are taken (exponent 0 entries are never
-    selectable: the certificate identities need every p_i - 1 divisible by
-    a*n). Pass `subset` (exponents) to certify a specific selection. The
-    certificate is re-verified before being returned; a failure raises
-    CertificateViolationError rather than emitting a bad record. Only the
-    self-check tests primality again.
+    The request must be spec.m strictly increasing exponents >= 1 inside
+    spec.window (the certificate identities need every p_i - 1 divisible by
+    a*n), with n in [spec.n_min, spec.n_max]; any other is refused with
+    ValueError before a power is built. The certificate is re-verified
+    before being returned: a composite component, or any other failure,
+    raises CertificateViolationError rather than emitting a bad record.
+    Only the self-check tests primality.
     """
-    usable = [(l, p) for l, p in hit.hits if l >= 1]
-    if subset is None:
-        if len(usable) < m:
-            raise InsufficientHitsError(
-                f"need {m} primes at exponents >= 1, found {len(usable)} for n={hit.n}")
-        chosen = usable[:m]
-    else:
-        if len(subset) != m:
-            raise ValueError(f"subset has {len(subset)} exponents, expected m={m}")
-        by_exp = dict(usable)
-        try:
-            chosen = sorted((l, by_exp[l]) for l in subset)
-        except KeyError as exc:
-            raise InsufficientHitsError(f"exponent {exc} not among usable hits") from exc
-
-    exponents, primes = zip(*chosen)
-    cert = _certificate(hit.spec.a, hit.spec.b, hit.n, exponents)
-    if cert.primes != primes:
-        raise CertificateViolationError(f"hit primes {primes} are not {cert.primes}")
+    exponents = tuple(exponents)
+    lo, hi = max(spec.window[0], 1), spec.window[1]
+    if not spec.n_min <= n <= spec.n_max:
+        raise ValueError(f"n={n} outside [{spec.n_min}, {spec.n_max}]")
+    if (len(exponents) != spec.m or not lo <= exponents[0] <= exponents[-1] <= hi
+            or any(l >= r for l, r in zip(exponents, exponents[1:]))):
+        raise ValueError(f"need {spec.m} strictly increasing exponents in "
+                         f"[{lo}, {hi}], got {exponents}")
+    cert = _certificate(spec.a, spec.b, n, exponents)
     if not verify_certificate(cert):
         raise CertificateViolationError(f"self-check failed for N={cert.N}")
     return cert
@@ -302,14 +282,12 @@ def _certified(spec: TupleSpec, n: int, all_subsets: bool,
     the selections whose product has that index, computed from phi(N) and
     N-1, or that satisfy the sufficient condition sum(l_i - b) < b are
     certified."""
-    hit = scan_tuple(spec, n)
-    usable = [l for l, _ in hit.hits if l >= 1]
+    primes = dict(scan_tuple(spec, n))
+    usable = [l for l in primes if l >= 1]
     if len(usable) < spec.m:
         return []
     subsets = combinations(usable, spec.m) if all_subsets else [tuple(usable[:spec.m])]
     if target is not None:
-        primes = dict(hit.hits)
-
         def on_target(subset: tuple[int, ...]) -> bool:
             if sum(l - spec.b for l in subset) < spec.b:
                 return True
@@ -317,7 +295,7 @@ def _certified(spec: TupleSpec, n: int, all_subsets: bool,
             return lehmer_index_from_phi(prod(p - 1 for p in chosen),
                                          prod(chosen) - 1) == target
         subsets = filter(on_target, subsets)
-    return [build_radimichael(hit, spec.m, subset) for subset in subsets]
+    return [build_radimichael(spec, n, subset) for subset in subsets]
 
 
 def _search(spec: TupleSpec, all_subsets: bool, workers: int, target: int | None,
@@ -356,7 +334,7 @@ def stream_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
     """Scan spec's n range and certify every qualifying product, yielding
     each n's certificates once that n and every n before it are done.
 
-    Default selection is the m smallest usable primes per hit;
+    Default selection is the m smallest usable primes per n;
     all_subsets=True certifies every size-m selection instead. Results are
     ordered by n (then by selection), independent of worker count. The
     parameters are checked on the call, before any search or fork; closing

@@ -50,7 +50,7 @@ from typing import Iterator, NamedTuple
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from .arith import SMALL_PRIMES, Factorization
+from .arith import SMALL_PRIMES, TRIAL_LIMIT, Factorization
 from .workers import check_workers, fork_map
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
@@ -133,10 +133,12 @@ def _check_budget(charge: int, memory_budget: int | None) -> None:
 
 
 def build_spf(limit: int, *, memory_budget: int | None = None) -> SpfTable:
-    """Table for [0, limit], sieved in one pass. SMALL_PRIMES covers
-    isqrt(SURVEY_LIMIT) = 10**4, so every base prime is there."""
-    if limit < 1 or limit > SURVEY_LIMIT:
-        raise ValueError(f"need 1 <= limit <= {SURVEY_LIMIT}")
+    """Table for [0, limit], sieved in one pass. Its base primes are
+    SMALL_PRIMES, all below TRIAL_LIMIT, so the table is exact only for
+    limit < TRIAL_LIMIT**2 = 2**28, which it refuses to pass whatever
+    SURVEY_LIMIT is."""
+    if limit < 1 or limit > SURVEY_LIMIT or limit >= TRIAL_LIMIT**2:
+        raise ValueError(f"need 1 <= limit <= {min(SURVEY_LIMIT, TRIAL_LIMIT**2 - 1)}")
     _check_budget(_spf_charge(limit), memory_budget)
     entries = np.zeros(limit + 1, dtype=np.uint32)
     entries[4::2] = 2

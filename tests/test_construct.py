@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from dataclasses import replace
 from math import gcd, prod
 
@@ -12,7 +13,6 @@ from radimichael import construct
 from radimichael.classify import is_carmichael, lehmer_index
 from radimichael.construct import (
     CertificateViolationError,
-    InsufficientHitsError,
     TupleSpec,
     build_radimichael,
     certificate_from_line,
@@ -59,13 +59,10 @@ def test_tuple_spec_window_defaults_and_validation():
 
 
 def test_scan_tuple_examples():
-    hit = scan_tuple(spec_2_0_4(), 1)
-    assert hit.hits == ((1, 3), (2, 5), (4, 17))  # 2^3+1 = 9 is composite
-    hit7 = scan_tuple(spec_2_0_4(), 7)
-    assert hit7.hits == ((2, 29), (4, 113))  # 15 and 57 are composite
+    assert scan_tuple(spec_2_0_4(), 1) == ((1, 3), (2, 5), (4, 17))  # 2^3+1 = 9 is composite
+    assert scan_tuple(spec_2_0_4(), 7) == ((2, 29), (4, 113))  # 15 and 57 are composite
     # 2*31+1 = 63 and 4*31+1 = 125 are both composite
-    empty = scan_tuple(TupleSpec(a=2, b=0, s=2, m=2, n_min=31, n_max=31), 31)
-    assert empty.hits == ()
+    assert scan_tuple(TupleSpec(a=2, b=0, s=2, m=2, n_min=31, n_max=31), 31) == ()
     with pytest.raises(ValueError):
         scan_tuple(spec_2_0_4(), 11)  # outside the n range
 
@@ -74,9 +71,7 @@ def test_scan_tuple_monotone_in_window():
     for n in range(1, 30):
         small = TupleSpec(a=2, b=0, s=4, m=2, n_min=1, n_max=30)
         large = TupleSpec(a=2, b=0, s=9, m=2, n_min=1, n_max=30)
-        hits_small = set(scan_tuple(small, n).hits)
-        hits_large = set(scan_tuple(large, n).hits)
-        assert hits_small <= hits_large
+        assert set(scan_tuple(small, n)) <= set(scan_tuple(large, n))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +79,7 @@ def test_scan_tuple_monotone_in_window():
 # ---------------------------------------------------------------------------
 
 def test_build_smallest_pair_gives_15():
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
     assert cert.N == 15 and cert.primes == (3, 5)
     assert cert.kappa_N == 2 and (cert.N - 1) % cert.kappa_N == 0
     assert cert.non_carmichael_modulus == 4
@@ -94,7 +89,7 @@ def test_build_smallest_pair_gives_15():
 
 
 def test_build_triple_gives_255():
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 3)
+    cert = build_radimichael(spec_2_0_4(m=3), 1, (1, 2, 4))
     assert cert.N == 255 and cert.primes == (3, 5, 17)
     assert cert.kappa_N == 2 and 254 % 2 == 0
     # lambda(255) = 16 does not divide 254, so 255 is not Carmichael
@@ -103,28 +98,55 @@ def test_build_triple_gives_255():
 
 
 def test_build_insufficient_hits():
-    with pytest.raises(InsufficientHitsError):
-        build_radimichael(scan_tuple(spec_2_0_4(), 1), 4)
-    with pytest.raises(InsufficientHitsError):
-        build_radimichael(scan_tuple(spec_2_0_4(m=2), 7), 2, subset=(1, 2))
+    # exponents the scan found no prime at: 2^3 * 1 + 1 = 9, and
+    # 2 * 7 + 1 = 15; the self-check refuses the composite component
+    with pytest.raises(CertificateViolationError):
+        build_radimichael(spec_2_0_4(m=4), 1, (1, 2, 3, 4))
+    with pytest.raises(CertificateViolationError):
+        build_radimichael(spec_2_0_4(), 7, (1, 2))
 
 
 def test_build_explicit_subset():
-    hit = scan_tuple(TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1,
-                               window=(0, 10)), 1)
-    cert = build_radimichael(hit, 2, subset=(4, 8))
+    spec = TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1, window=(0, 10))
+    cert = build_radimichael(spec, 1, (4, 8))
     assert cert.N == 4369 and cert.primes == (17, 257)
     assert cert.lehmer_index == 3  # phi = 2^12, v2(4368) = 4, ceil(12/4)
     # exponent-0 entries are reported by the scan but never selectable
-    assert (0, 2) in hit.hits
-    with pytest.raises(InsufficientHitsError):
-        build_radimichael(hit, 2, subset=(0, 1))
+    assert (0, 2) in scan_tuple(spec, 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        build_radimichael(spec, 1, (0, 1))
+
+
+@pytest.mark.parametrize("n, exponents", [
+    (1, (0, 2)),         # exponent 0: p - 1 = n is not divisible by a*n
+    (1, (2, 5)),         # above the window (1, 4)
+    (1, (2, 2)),         # repeated
+    (1, (4, 2)),         # decreasing
+    (1, (2,)),           # a single exponent
+    (1, (1, 2, 4)),      # more exponents than the spec's m = 2
+    (1, ()),
+    (1, (1, 10**9)),     # far above it: refused before 2^(10^9) is built
+    (0, (1, 2)),         # n below the spec's range
+    (11, (1, 2)),        # n above it
+])
+def test_build_refuses_a_malformed_request(n, exponents):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        build_radimichael(spec_2_0_4(), n, exponents)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_build_equals_every_all_subsets_certificate():
+    spec = TupleSpec(a=2, b=0, s=8, m=3, n_min=1, n_max=40)
+    certs = search_radimichael(spec, all_subsets=True)
+    assert len({c.n for c in certs}) > 10
+    for cert in certs:
+        assert build_radimichael(spec, cert.n, cert.exponents) == cert
 
 
 def test_build_tests_each_selected_prime_once(monkeypatch):
     # the only primality tests during building are the self-verify's, one
     # per selected prime
-    hit = scan_tuple(spec_2_0_4(m=3), 1)
     calls = []
     inside_verify = [False]
     real_verdict, real_verify = construct.prime_verdict, construct.verify_certificate
@@ -142,7 +164,7 @@ def test_build_tests_each_selected_prime_once(monkeypatch):
 
     monkeypatch.setattr(construct, "prime_verdict", counting_verdict)
     monkeypatch.setattr(construct, "verify_certificate", tracking_verify)
-    cert = build_radimichael(hit, 3)
+    cert = build_radimichael(spec_2_0_4(m=3), 1, (1, 2, 4))
     assert len(calls) == 3
     assert sorted(n for n, _ in calls) == sorted(cert.primes)
     assert all(inside for _, inside in calls)
@@ -160,14 +182,14 @@ def test_certificate_index_matches_classify_for_small_n():
 # ---------------------------------------------------------------------------
 
 def test_non_carmichael_check_and_negative_control():
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
     assert non_carmichael_check(cert)
     fake = replace(cert, non_carmichael_residue=1)
     assert not non_carmichael_check(fake)
 
 
 def test_verify_certificate_round_trip_and_tampering():
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 3)
+    cert = build_radimichael(spec_2_0_4(m=3), 1, (1, 2, 4))
     assert verify_certificate(cert)
     assert not verify_certificate(replace(cert, primes=(3, 7, 17), N=3 * 7 * 17))
     assert not verify_certificate(replace(cert, N=cert.N + 2))
@@ -181,9 +203,8 @@ def test_verify_certificate_round_trip_and_tampering():
 
 
 def test_verify_certificate_oracle_on_4369():
-    hit = scan_tuple(TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1,
-                               window=(0, 10)), 1)
-    cert = build_radimichael(hit, 2, subset=(4, 8))
+    spec = TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1, window=(0, 10))
+    cert = build_radimichael(spec, 1, (4, 8))
     assert 4368**3 % 4096 == 0 and 4368**2 % 4096 != 0
     assert verify_certificate(cert)
 
@@ -204,7 +225,8 @@ def test_lemma_identities_on_search_output():
 def test_probable_prime_certificates_are_flagged():
     # primes 2^65*9+1 and 2^67*9+1 exceed 2^64
     spec = TupleSpec(a=2, b=64, s=8, m=2, n_min=9, n_max=9)
-    cert = build_radimichael(scan_tuple(spec, 9), 2)
+    assert [l for l, _ in scan_tuple(spec, 9)][:2] == [65, 67]
+    cert = build_radimichael(spec, 9, (65, 67))
     assert cert.probable_prime_flag
     assert cert.exponents == (65, 67)
     assert verify_certificate(cert)
@@ -418,14 +440,14 @@ def test_korselt_cross_check_runs_past_2_64(monkeypatch):
 
 
 def test_verify_rejects_huge_exponent_without_building_the_power():
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
     assert not verify_certificate(replace(cert, exponents=(1, 10**9)))
 
 
 def test_verify_refuses_a_product_past_the_cap_before_building_it(monkeypatch):
     # 2047 components 2^l + 1, each under the component cap: phi of their
     # product is 2^2096128, which would cost its Lehmer index to build
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
     exponents = tuple(range(1, construct.MAX_COMPONENT_BITS))
     primes = tuple(2**l + 1 for l in exponents)
     built = []
@@ -475,7 +497,7 @@ def test_certificate_parse_rejects_malformed():
     ("primes", [3, "5"]),
 ])
 def test_certificate_parse_accepts_only_wire_types(field, value):
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
     record = json.loads(certificate_to_line(cert))
     record[field] = value
     with pytest.raises(ValueError):
@@ -483,7 +505,7 @@ def test_certificate_parse_accepts_only_wire_types(field, value):
 
 
 def test_tampered_line_fails_verification():
-    cert = build_radimichael(scan_tuple(spec_2_0_4(), 1), 2)
+    cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
     line = certificate_to_line(cert)
     tampered = line.replace('"primes":[3,5]', '"primes":[5,7]')
     parsed = certificate_from_line(tampered)

@@ -90,6 +90,19 @@ def test_sieve_budget_enforced():
         build_spf(10**8 + 1)
 
 
+def test_sieve_refuses_a_limit_past_its_base_primes(monkeypatch):
+    # SMALL_PRIMES stop below TRIAL_LIMIT, so a table at TRIAL_LIMIT**2
+    # would call TRIAL_LIMIT**2 prime; raising SURVEY_LIMIT must not admit it
+    monkeypatch.setattr(survey_module, "SURVEY_LIMIT", 10**12)
+
+    def allocating(charge, budget):
+        raise AssertionError(f"a {charge}-byte table was about to be built")
+
+    monkeypatch.setattr(survey_module, "_check_budget", allocating)
+    with pytest.raises(ValueError):
+        build_spf(TRIAL_LIMIT**2, memory_budget=10**12)
+
+
 def test_spf_factorize_matches_generic():
     table = build_spf(20_000)
     for n in range(1, 20_001, 7):
