@@ -55,6 +55,14 @@ class TupleSpec:
     window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int
+               for v in (self.a, self.b, self.s, self.m, self.n_min, self.n_max)):
+            raise ValueError("a, b, s, m, n_min and n_max must be ints")
+        if self.window is None:
+            object.__setattr__(self, "window", (self.b + 1, self.b + self.s))
+        elif (type(self.window) is not tuple or len(self.window) != 2
+              or any(type(v) is not int for v in self.window)):
+            raise ValueError(f"window must be a tuple of two ints, got {self.window!r}")
         if self.a < 2 or self.b < 0 or self.s < 1 or self.m < 2:
             raise ValueError("need a >= 2, b >= 0, s >= 1, m >= 2")
         if self.a >= U64_LIMIT or self.n_max >= U64_LIMIT:
@@ -62,8 +70,6 @@ class TupleSpec:
             raise ValueError("need a < 2**64 and n_max < 2**64")
         if self.m > self.s + 1:
             raise ValueError(f"m={self.m} exceeds s+1={self.s + 1} window slots")
-        if self.window is None:
-            object.__setattr__(self, "window", (self.b + 1, self.b + self.s))
         lo, hi = self.window
         if not 0 <= lo <= hi:
             raise ValueError(f"empty or negative exponent window {self.window}")

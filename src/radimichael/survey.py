@@ -50,7 +50,7 @@ from typing import Iterator, NamedTuple
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
-from .arith import SMALL_PRIMES, TRIAL_LIMIT, Factorization
+from .arith import SMALL_PRIMES, TRIAL_LIMIT
 from .workers import check_workers, fork_map
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
@@ -59,96 +59,51 @@ DEFAULT_K_MAX = 8
 K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
 
-# Memory charges, from peak RSS (VmHWM) growth measured on Linux (Python
-# 3.11, numpy 2.4) with the package's bytecode cached; compiling it at import
-# instead frees heap that the first call reuses, which hides up to 1 MB.
-# build_spf grows 0.5-0.7 MB on a first call whatever its size, plus 5.6-5.8
-# bytes per entry at 10**6-10**8: its 4-byte entries and the zero mask and
-# prime indices of its last step. A survey grows 1.6 MB at 10**6, 2.1 MB at
-# 10**7 and 3.0-3.2 MB at 10**8: about 1.4 MB on a first call whatever the
-# limit, mostly the first touch of the numpy code the batched search runs,
-# plus 160-215 bytes per integer of [0, isqrt(limit)] in each process for
-# the table, the plan arrays and the search; the prime counts, taken
-# afterwards in the calling process, stay under that peak.
-_BASE_BYTES = 1 << 20
-_SURVEY_BASE_BYTES = 2 << 20
-_SPF_BYTES_PER_ENTRY = 6
+# Memory charge, from peak RSS (VmHWM) growth measured on Linux (Python 3.11,
+# numpy 2.4) with the package's bytecode cached; compiling it at import
+# instead frees heap that the first call reuses, which hides up to 1 MB. A
+# survey grows 1.6 MB at 10**6, 2.1 MB at 10**7 and 3.0-3.2 MB at 10**8:
+# about 1.4 MB on a first call whatever the limit, mostly the first touch of
+# the numpy code the batched search runs, plus 160-215 bytes per integer of
+# [0, isqrt(limit)] in each process for the spf table, the plan arrays and
+# the search; the prime counts, taken afterwards in the calling process,
+# stay under that peak.
+_FIRST_CALL_BYTES = 2 << 20
 _PLAN_BYTES_PER_ROOT_ENTRY = 256
 
 
 class MemoryBudgetError(RuntimeError):
-    """The requested sieve or survey exceeds the configured memory budget."""
+    """The requested survey exceeds the configured memory budget."""
+
+
+def _memory_charge(limit: int, workers: int = 1) -> int:
+    """Bytes for survey(limit): in each of `workers` processes, the table and
+    enumeration state over [0, isqrt(limit)]."""
+    return (_FIRST_CALL_BYTES
+            + workers * _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1))
 
 
 # ---------------------------------------------------------------------------
 # smallest-prime-factor sieve
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SpfTable:
-    """Smallest prime factor of n at entries[n]; entry == n iff n prime.
-
-    Entries for 0 and 1 are sentinels equal to themselves.
-    """
-    entries: np.ndarray
-
-    @property
-    def limit(self) -> int:
-        return len(self.entries) - 1
-
-    def factorize(self, n: int) -> Factorization:
-        """Factor n by chasing smallest prime factors."""
-        if n < 1 or n > self.limit:
-            raise ValueError(f"{n} outside table range")
-        entries = self.entries
-        factors = []
-        m = n
-        while m > 1:
-            p = int(entries[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        return Factorization(n, tuple(factors))
-
-
-def _spf_charge(limit: int) -> int:
-    """Bytes for build_spf(limit)."""
-    return _BASE_BYTES + _SPF_BYTES_PER_ENTRY * (limit + 1)
-
-
-def _memory_charge(limit: int, workers: int = 1) -> int:
-    """Bytes for survey(limit): in each of `workers` processes, the table and
-    enumeration state over [0, isqrt(limit)]."""
-    return (_SURVEY_BASE_BYTES
-            + workers * _PLAN_BYTES_PER_ROOT_ENTRY * (isqrt(limit) + 1))
-
-
-def _check_budget(charge: int, memory_budget: int | None) -> None:
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    if charge > budget:
-        raise MemoryBudgetError(f"tables plus scratch need {charge} bytes, "
-                                f"budget is {budget}")
-
-
-def build_spf(limit: int, *, memory_budget: int | None = None) -> SpfTable:
-    """Table for [0, limit], sieved in one pass. Its base primes are
-    SMALL_PRIMES, all below TRIAL_LIMIT, so the table is exact only for
-    limit < TRIAL_LIMIT**2 = 2**28, which it refuses to pass whatever
-    SURVEY_LIMIT is."""
+def build_spf(limit: int) -> np.ndarray:
+    """Smallest prime factor of n at [n] for n in [0, limit], sieved in one
+    pass; an entry equals n iff n is prime, and those of 0 and 1 are
+    themselves. Its base primes are SMALL_PRIMES, all below TRIAL_LIMIT, so
+    the table is exact only for limit < TRIAL_LIMIT**2 = 2**28, which it
+    refuses to pass whatever SURVEY_LIMIT is."""
     if limit < 1 or limit > SURVEY_LIMIT or limit >= TRIAL_LIMIT**2:
         raise ValueError(f"need 1 <= limit <= {min(SURVEY_LIMIT, TRIAL_LIMIT**2 - 1)}")
-    _check_budget(_spf_charge(limit), memory_budget)
-    entries = np.zeros(limit + 1, dtype=np.uint32)
-    entries[4::2] = 2
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    spf[4::2] = 2
     for p in SMALL_PRIMES[1:bisect_right(SMALL_PRIMES, isqrt(limit))]:
-        view = entries[p * p::2 * p]  # odd multiples; evens belong to 2
+        view = spf[p * p::2 * p]  # odd multiples; evens belong to 2
         view[view == 0] = p
     # remaining zeros are primes (or the 0/1 sentinels)
-    idx = np.flatnonzero(entries == 0)
-    entries[idx] = idx
-    return SpfTable(entries)
+    idx = np.flatnonzero(spf == 0)
+    spf[idx] = idx
+    return spf
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +165,7 @@ class _Plan(NamedTuple):
     root: int
     checkpoints: np.ndarray
     k_max: int
-    table: SpfTable
+    spf: np.ndarray         # build_spf(root)
     primes: np.ndarray      # odd primes <= root, ascending
     rad: np.ndarray         # rad[q] = rad(q-1), q prime
     # cofactors[:, c] = (L, largest prime, phi(c), lambda(c), omega(c)), with
@@ -221,8 +176,7 @@ class _Plan(NamedTuple):
 
 def _plan(limit: int, checkpoints: list[int], k_max: int) -> _Plan:
     root = isqrt(limit)
-    table = build_spf(root)
-    spf = table.entries
+    spf = build_spf(root)
     ints = np.arange(root + 1, dtype=np.int64)
     primes = ints[3::2][spf[3::2] == ints[3::2]]
     # both passes peel the primes of every integer from the table, least
@@ -253,7 +207,7 @@ def _plan(limit: int, checkpoints: list[int], k_max: int) -> _Plan:
         omega += live
     # L | lambda(c) <= c <= root < limit, so no L reaches the limit
     cofactors[:, ~squarefree | (np.gcd(L, ints) != 1)] = 0
-    return _Plan(limit, root, np.array(checkpoints, dtype=np.int64), k_max, table,
+    return _Plan(limit, root, np.array(checkpoints, dtype=np.int64), k_max, spf,
                  primes, rad, cofactors)
 
 
@@ -296,7 +250,7 @@ def _large_prime_part(plan: _Plan, cs: np.ndarray) -> Iterator[np.ndarray]:
     forced, as p is odd. The c values are taken _CHUNK at a time, and each
     d is an int64 entry beside the index of its c.
     """
-    limit, root, spf = plan.limit, plan.root, plan.table.entries
+    limit, root, spf = plan.limit, plan.root, plan.spf
     primes = plan.primes.tolist()
     for start in range(0, len(cs), _CHUNK):
         c = cs[start:start + _CHUNK]
@@ -530,6 +484,8 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     `workers`. No or empty `checkpoints` means default_checkpoints(limit).
     """
     check_workers(workers)
+    if type(limit) is not int or type(k_max) is not int:
+        raise ValueError("limit and k_max must be ints")
     if limit < 1:
         raise ValueError("survey requires limit >= 1")
     if limit > SURVEY_LIMIT:
@@ -549,7 +505,10 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     if not checkpoints:
         return SurveyReport(limit, k_max, ())
 
-    _check_budget(_memory_charge(limit, workers), memory_budget)
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    if (charge := _memory_charge(limit, workers)) > budget:
+        raise MemoryBudgetError(f"tables plus scratch need {charge} bytes, "
+                                f"budget is {budget}")
     plan = _plan(limit, checkpoints, k_max)
 
     def work(unit: int, units: int) -> tuple[tuple[np.ndarray, tuple | None]]:

@@ -21,7 +21,7 @@ from radimichael.classify import (
 )
 from radimichael.cli import main
 from radimichael.construct import certificate_from_line, verify_certificate
-from radimichael.survey import build_spf, report_write, survey
+from radimichael.survey import report_write, survey
 
 CARMICHAEL_BELOW_1E4 = [561, 1105, 1729, 2465, 2821, 6601, 8911]
 
@@ -37,11 +37,6 @@ def survey_1e7():
     report = survey(10**7, workers=1)
     elapsed = time.perf_counter() - start
     return report, elapsed
-
-
-@pytest.fixture(scope="module")
-def spf_1e6():
-    return build_spf(10**6)
 
 
 def run_cli(capsys, *argv):
@@ -84,13 +79,13 @@ def test_criterion_2_korselt_oracle_equivalence():
                f"7 Carmichael numbers, smallest 561 ({elapsed:.1f} s)")
 
 
-def test_criterion_3_index_correct_for_all_radimichael_below_1e6(spf_1e6):
+def test_criterion_3_index_correct_for_all_radimichael_below_1e6(oracle_factorize):
     start = time.perf_counter()
     checked = 0
     for n in range(9, 10**6 + 1, 2):
-        if int(spf_1e6.entries[n]) == n:
+        f = oracle_factorize(n)
+        if f.factors == ((n, 1),):
             continue
-        f = spf_1e6.factorize(n)
         k = lehmer_index(n, f)
         if k is None:
             continue
@@ -110,12 +105,14 @@ def test_criterion_3_index_correct_for_all_radimichael_below_1e6(spf_1e6):
                f"({elapsed:.1f} s)")
 
 
-def test_criterion_4_finite_shadows(spf_1e6, survey_1e7):
+def test_criterion_4_finite_shadows(oracle_factorize, survey_1e7):
     carmichael_seen = 0
     for n in range(4, 10**6 + 1):
-        if n % 2 == 0 or int(spf_1e6.entries[n]) == n:
+        if n % 2 == 0:
             continue
-        f = spf_1e6.factorize(n)
+        f = oracle_factorize(n)
+        if f.factors == ((n, 1),):
+            continue
         k = lehmer_index(n, f)
         if is_carmichael(n, f):
             carmichael_seen += 1
@@ -210,14 +207,14 @@ def test_criterion_6_theorem2_mode(capsys):
                f"all have index <= k ({elapsed:.1f} s)")
 
 
-def test_criterion_7_survey_exactness_and_worker_identity(spf_1e6):
+def test_criterion_7_survey_exactness_and_worker_identity(oracle_factorize):
     report = survey(100)
     assert report.rows[-1].radimichael == 4
     found = []
     for n in range(4, 101):
-        if int(spf_1e6.entries[n]) == n:
+        f = oracle_factorize(n)
+        if f.factors == ((n, 1),):
             continue
-        f = spf_1e6.factorize(n)
         if lehmer_index(n, f) is not None:
             found.append(n)
     assert found == [15, 51, 85, 91]

@@ -284,10 +284,8 @@ def test_phi_and_radical_multiplicative_on_coprime_pairs():
             radical(factorize(a)) * radical(factorize(b))
 
 
-def test_factorize_left_inverse_for_all_n_up_to_1e6():
+def test_factorize_left_inverse_for_all_n_up_to_1e6(oracle_factorize):
     # sieve-based oracle, fully independent of the trial/rho path
-    from radimichael.survey import build_spf
-    table = build_spf(10**6)
     for n in range(1, 10**6 + 1):
         f = factorize(n)
-        assert f == table.factorize(n), n
+        assert f == oracle_factorize(n), n

@@ -252,11 +252,9 @@ def test_no_lehmer_numbers_up_to_1e6():
     assert all(row.lehmer[0] == 0 for row in report.rows)
 
 
-def test_no_even_radimichael_up_to_1e6():
+def test_no_even_radimichael_up_to_1e6(oracle_factorize):
     # phi(n) is even for n >= 3, so kappa(n) is even and cannot divide
     # the odd n-1 of an even n; checked definitionally over every even
     # composite
-    from radimichael.survey import build_spf
-    table = build_spf(10**6)
     for n in range(4, 10**6 + 1, 2):
-        assert not is_radimichael(n, table.factorize(n)), n
+        assert not is_radimichael(n, oracle_factorize(n)), n

@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from radimichael.arith import U64_LIMIT, factorize, radical
@@ -56,6 +57,15 @@ def test_tuple_spec_window_defaults_and_validation():
     for a, n_max in ((U64_LIMIT, 1), (2, U64_LIMIT)):
         with pytest.raises(ValueError, match="2\\*\\*64"):
             TupleSpec(a=a, b=0, s=2, m=2, n_min=1, n_max=n_max)
+    # every field is an int, and window a tuple of two: no bool, float,
+    # string or numpy integer
+    good = dict(a=2, b=0, s=4, m=2, n_min=1, n_max=10)
+    for field, bad in (("a", 2.0), ("a", np.int64(2)), ("b", 0.0), ("b", "0"), ("s", 4.0),
+                       ("m", 2.0), ("n_min", 1.0), ("n_max", 10.0), ("n_max", True),
+                       ("window", (1.0, 3)), ("window", (1, np.int64(3))),
+                       ("window", [1, 3]), ("window", (1, 2, 3)), ("window", 3)):
+        with pytest.raises(ValueError, match="ints"):
+            TupleSpec(**{**good, field: bad})
 
 
 def test_scan_tuple_examples():

@@ -25,10 +25,8 @@ from radimichael.survey import (
     K_MAX_LIMIT,
     SURVEY_LIMIT,
     CheckpointRow,
-    MemoryBudgetError,
     SurveyReport,
     _memory_charge,
-    _spf_charge,
     build_spf,
     default_checkpoints,
     report_parse,
@@ -49,24 +47,24 @@ def smallest_factor(n):
 # ---------------------------------------------------------------------------
 
 def test_sieve_spf_first_decade():
-    table = build_spf(10)
-    assert {n: int(table.entries[n]) for n in range(2, 11)} == {
+    spf = build_spf(10)
+    assert {n: int(spf[n]) for n in range(2, 11)} == {
         2: 2, 3: 3, 4: 2, 5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 2}
 
 
 def test_sieve_spf_named_values():
-    table = build_spf(5000)
-    assert int(table.entries[561]) == 3
-    assert int(table.entries[4369]) == 17
-    assert (int(table.entries[4373]) == 4373) == (smallest_factor(4373) == 4373)
+    spf = build_spf(5000)
+    assert int(spf[561]) == 3
+    assert int(spf[4369]) == 17
+    assert (int(spf[4373]) == 4373) == (smallest_factor(4373) == 4373)
 
 
 def test_sieve_spf_offset_segment_matches_trial_division():
     # a window at the far end of a table of 10^6 + 51 entries
     lo, hi = 999_950, 1_000_050
-    table = build_spf(hi)
+    spf = build_spf(hi)
     for n in range(lo, hi + 1):
-        assert int(table.entries[n]) == smallest_factor(n), n
+        assert int(spf[n]) == smallest_factor(n), n
 
 
 def test_sieve_spf_matches_full_table_across_bases():
@@ -75,15 +73,10 @@ def test_sieve_spf_matches_full_table_across_bases():
     full = build_spf(10_000)
     for limit in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 97, 120, 121,
                   128, 5000, 9408, 9409, 9999):
-        table = build_spf(limit)
-        assert (table.entries == full.entries[:limit + 1]).all(), limit
+        assert (build_spf(limit) == full[:limit + 1]).all(), limit
 
 
 def test_sieve_budget_enforced():
-    with pytest.raises(MemoryBudgetError):
-        build_spf(10**7, memory_budget=1000)
-    with pytest.raises(MemoryBudgetError):
-        build_spf(10**7, memory_budget=4 * 10**7)
     with pytest.raises(ValueError):
         build_spf(0)
     with pytest.raises(ValueError):
@@ -92,23 +85,16 @@ def test_sieve_budget_enforced():
 
 def test_sieve_refuses_a_limit_past_its_base_primes(monkeypatch):
     # SMALL_PRIMES stop below TRIAL_LIMIT, so a table at TRIAL_LIMIT**2
-    # would call TRIAL_LIMIT**2 prime; raising SURVEY_LIMIT must not admit it
+    # would call TRIAL_LIMIT**2 prime; raising SURVEY_LIMIT must not admit
+    # it, and the refusal must come before its 1 GiB is allocated
     monkeypatch.setattr(survey_module, "SURVEY_LIMIT", 10**12)
 
-    def allocating(charge, budget):
-        raise AssertionError(f"a {charge}-byte table was about to be built")
+    def allocating(shape, *args, **kwargs):
+        raise AssertionError(f"a table of {shape} entries was about to be built")
 
-    monkeypatch.setattr(survey_module, "_check_budget", allocating)
+    monkeypatch.setattr(survey_module.np, "zeros", allocating)
     with pytest.raises(ValueError):
-        build_spf(TRIAL_LIMIT**2, memory_budget=10**12)
-
-
-def test_spf_factorize_matches_generic():
-    table = build_spf(20_000)
-    for n in range(1, 20_001, 7):
-        assert table.factorize(n) == factorize(n)
-    with pytest.raises(ValueError):
-        table.factorize(20_001)
+        build_spf(TRIAL_LIMIT**2)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +240,11 @@ def test_survey_custom_checkpoints_and_validation():
     for bad in (True, 50.0, "50"):
         with pytest.raises(ValueError, match="ints"):
             survey(100, checkpoints=[bad])
+    # and so for limit and k_max: a bool k_max would reach the json-lines
+    # header as true, and a float or numpy limit has no bit_length
+    for limit, k_max in ((100, True), (100, 3.0), (100.0, 3), (np.int64(100), 3), (True, 3)):
+        with pytest.raises(ValueError, match="ints"):
+            survey(limit, k_max)
     with pytest.raises(ValueError):
         survey(0)
     with pytest.raises(ValueError):
@@ -299,18 +290,17 @@ def test_inverse_matches_pow(pairs):
     assert survey_module._inverse(a, m).tolist() == [pow(x, -1, y) for x, y in pairs]
 
 
-def naive_radimichael_records(limit):
+def naive_radimichael_records(limit, oracle_factorize):
     """(n, phi(n), lambda(n), omega(n), largest prime) of every radimichael
     n <= limit, ascending: odd, composite, squarefree, rad(q-1) | n-1 for
     each prime q | n."""
-    table = build_spf(limit)
     found = []
     for n in range(3, limit + 1, 2):
-        factors = table.factorize(n).factors
+        factors = oracle_factorize(n).factors
         qs = [q for q, _ in factors]
         if (len(qs) > 1 and all(e == 1 for _, e in factors)
                 and all((n - 1) % ell == 0 for q in qs
-                        for ell, _ in table.factorize(q - 1).factors)):
+                        for ell, _ in oracle_factorize(q - 1).factors)):
             found.append((n, prod(q - 1 for q in qs), lcm(*(q - 1 for q in qs)),
                           len(qs), qs[-1]))
     return found
@@ -321,12 +311,13 @@ def sorted_records(parts):
     return sorted(map(tuple, np.hstack(parts).T.tolist())) if parts else []
 
 
-def test_both_parts_enumerate_exactly_the_naive_radimichael_numbers(monkeypatch):
+def test_both_parts_enumerate_exactly_the_naive_radimichael_numbers(monkeypatch,
+                                                                   oracle_factorize):
     # every limit up to 1500 and 20 seeded ones up to 2 * 10^5; the p > root
     # part must give exactly the n whose largest prime p exceeds isqrt(limit)
     limits = list(range(1, 1501)) + random.Random(18).sample(range(1501, 2 * 10**5), 19)
     limits.append(2 * 10**5)
-    naive = naive_radimichael_records(2 * 10**5)
+    naive = naive_radimichael_records(2 * 10**5, oracle_factorize)
     # some limit is itself a radimichael n from the p > root part
     assert any(n in limits and p > isqrt(n) for n, *_, p in naive)
     for limit in limits:
@@ -412,7 +403,7 @@ def peak_rss_growth(call):
         pytest.skip("VmHWM is read from Linux's /proc/self/status")
     code = textwrap.dedent(f"""
         import numpy
-        from radimichael.survey import build_spf, survey
+        from radimichael.survey import survey
         def peak():
             with open("/proc/self/status") as status:
                 return next(int(line.split()[1]) for line in status
@@ -432,13 +423,6 @@ def peak_rss_growth(call):
 def test_survey_peak_memory_within_budget_model(limit):
     growth = peak_rss_growth(f"survey({limit})")
     charge = _memory_charge(limit)
-    assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
-
-
-def test_spf_peak_memory_within_budget_model():
-    limit = 10**7
-    growth = peak_rss_growth(f"build_spf({limit})")
-    charge = _spf_charge(limit)
     assert growth <= charge, f"peak RSS grew {growth} bytes, model charges {charge}"
 
 
