@@ -4,8 +4,9 @@ A composite n is radimichael when rad(phi(n)) | n-1. Such an n is odd
 (phi(n) is even for n >= 3) and squarefree (a squared prime divides phi(n)
 but not n-1), so the condition reads rad(q-1) | n-1 for every prime q | n.
 Write n = p*c with p the largest prime of n. As p = 1 (mod rad(p-1)), the
-condition at p is rad(p-1) | c-1. With r = isqrt(limit), the survey finds
-every such n in two parts, from one spf table over [0, r]:
+condition at p is rad(p-1) | c-1. With r = isqrt(limit), one pass over an
+spf sieve of [0, r] lists the distinct primes of every m <= r, and the
+survey finds every such n in two parts from that table:
 
 - p > r, so c <= r. p-1 = d is built from the primes of c-1 only, on
   int64 arrays for a chunk of c values at a time; each d with
@@ -62,12 +63,12 @@ SURVEY_LIMIT = 10**8                # desk-scale cap
 # Memory charge, from peak RSS (VmHWM) growth measured on Linux (Python 3.11,
 # numpy 2.4) with the package's bytecode cached; compiling it at import
 # instead frees heap that the first call reuses, which hides up to 1 MB. A
-# survey grows 1.6 MB at 10**6, 2.1 MB at 10**7 and 3.0-3.2 MB at 10**8:
+# survey grows 1.5 MB at 10**6, 2.0 MB at 10**7 and 3.3 MB at 10**8:
 # about 1.4 MB on a first call whatever the limit, mostly the first touch of
-# the numpy code the batched search runs, plus 160-215 bytes per integer of
-# [0, isqrt(limit)] in each process for the spf table, the plan arrays and
-# the search; the prime counts, taken afterwards in the calling process,
-# stay under that peak.
+# the numpy code the batched search runs, plus 140-200 bytes per integer of
+# [0, isqrt(limit)] in each process for the spf sieve, the factor table, the
+# plan arrays and the search; the prime counts, taken afterwards in the
+# calling process, stay under that peak.
 _FIRST_CALL_BYTES = 2 << 20
 _PLAN_BYTES_PER_ROOT_ENTRY = 256
 
@@ -159,13 +160,15 @@ _CHUNK = 256
 
 
 class _Plan(NamedTuple):
-    """What every work unit reads, all derived from the table over [0, root].
-    (A NamedTuple: creating a frozen dataclass costs the CLI 1-2 ms.)"""
+    """What every work unit reads, all derived from the factor table over
+    [0, root]. (A NamedTuple: creating a frozen dataclass costs the CLI 1-2 ms.)"""
     limit: int
     root: int
     checkpoints: np.ndarray
     k_max: int
-    spf: np.ndarray         # build_spf(root)
+    # factors[j, m] is the j-th least distinct prime of m, or 1 once m has
+    # fewer (all 1 for m = 0 and 1), in the sieve's uint32
+    factors: np.ndarray
     primes: np.ndarray      # odd primes <= root, ascending
     rad: np.ndarray         # rad[q] = rad(q-1), q prime
     # cofactors[:, c] = (L, largest prime, phi(c), lambda(c), omega(c)), with
@@ -179,35 +182,30 @@ def _plan(limit: int, checkpoints: list[int], k_max: int) -> _Plan:
     spf = build_spf(root)
     ints = np.arange(root + 1, dtype=np.int64)
     primes = ints[3::2][spf[3::2] == ints[3::2]]
-    # both passes peel the primes of every integer from the table, least
-    # first, updating their arrays in place
-    rad = np.ones(root + 1, dtype=np.int64)  # rad(m), then shifted to rad(q-1)
-    m = np.maximum(ints, 1)
+    # the one pass that peels primes off the spf table, least first; the
+    # rest of the plan comes from column reductions of the table
+    factors, m = [], np.maximum(ints, 1)
     while (p := spf[m]).max() > 1:
-        rad *= p
+        factors.append(p)
         while (div := (p > 1) & (m % p == 0)).any():
             m[div] //= p[div]
-    rad[1:] = rad[:-1].copy()
-    cofactors = np.ones((5, root + 1), dtype=np.int64)
+    factors = np.array(factors, dtype=spf.dtype).reshape(-1, root + 1)
+    radm = factors.prod(axis=0, dtype=np.int64)  # rad(m)
+    rad = np.concatenate(([1], radm[:-1]))
+    # lam = lcm(q-1) over q | m is at most m, and L = rad(lam); initial=1
+    # covers root 1, whose table has no rows
+    cofactors = np.empty((5, root + 1), dtype=np.int64)
     L, top, phi, lam, omega = cofactors
-    omega[:] = 0
-    squarefree = ints % 2 == 1
-    m = np.where(squarefree, ints, 1)
-    while (p := spf[m]).max() > 1:
-        live = p > 1
-        m //= p
-        repeated = live & (m % p == 0)
-        squarefree &= ~repeated
-        m[repeated] = 1
-        pm1 = np.where(live, p - 1, 1)
-        phi *= pm1
-        np.lcm(lam, pm1, out=lam)
-        np.lcm(L, rad[p], out=L)
-        np.maximum(top, p, out=top)
-        omega += live
-    # L | lambda(c) <= c <= root < limit, so no L reaches the limit
-    cofactors[:, ~squarefree | (np.gcd(L, ints) != 1)] = 0
-    return _Plan(limit, root, np.array(checkpoints, dtype=np.int64), k_max, spf,
+    pm1 = np.maximum(factors, 2) - 1
+    np.lcm.reduce(pm1, axis=0, initial=1, out=lam)
+    np.take(radm, lam, out=L)
+    factors.max(axis=0, initial=1, out=top)
+    pm1.prod(axis=0, out=phi)
+    (factors > 1).sum(axis=0, out=omega)
+    # an odd m is squarefree iff rad(m) = m; L | lambda(c) <= c <= root <
+    # limit, so no L reaches the limit
+    cofactors[:, (ints % 2 == 0) | (radm != ints) | (np.gcd(L, ints) != 1)] = 0
+    return _Plan(limit, root, np.array(checkpoints, dtype=np.int64), k_max, factors,
                  primes, rad, cofactors)
 
 
@@ -247,27 +245,24 @@ def _large_prime_part(plan: _Plan, cs: np.ndarray) -> Iterator[np.ndarray]:
     p*c = 1 (mod L), so d = p-1 = c^-1 - 1 (mod L), and rad(d) | c-1. L is
     squarefree, so a prime ell of both L and c-1 divides d exactly when it
     divides the residue: it is forced into d or kept out. 2 is always
-    forced, as p is odd. The c values are taken _CHUNK at a time, and each
-    d is an int64 entry beside the index of its c.
+    forced, as p is odd. The primes of c-1 are its column of plan.factors.
+    The c values are taken _CHUNK at a time, and each d is an int64 entry
+    beside the index of its c.
     """
-    limit, root, spf = plan.limit, plan.root, plan.spf
+    limit, root = plan.limit, plan.root
     primes = plan.primes.tolist()
     for start in range(0, len(cs), _CHUNK):
         c = cs[start:start + _CHUNK]
         L, _, phi, lam, omega = plan.cofactors[:, c]
         residue = (_inverse(c, L) - 1) % L
         top = limit // c - 1
-        # peel the primes of c-1 off the table, least first, as _plan does;
-        # ells[j] holds each c's j-th prime if d may take it, else 1, and d
-        # starts as the product of the forced ones
-        d, ells, m = np.ones_like(c), [], c - 1
-        while (p := spf[m].astype(np.int64)).max() > 1:
-            while (div := (p > 1) & (m % p == 0)).any():
-                m[div] //= p[div]
-            forced = L % p == 0
-            ell = np.where(~forced | (residue % p == 0), p, 1)
-            d *= np.where(forced, ell, 1)
-            ells.append(ell)
+        # ells[j] holds the j-th prime of each c-1 if d may take it, else 1
+        # (as for the table's padding), and d starts as the product of the
+        # forced ones
+        p = plan.factors[:, c - 1].astype(np.int64)
+        forced = L % p == 0
+        ells = np.where(~forced | (residue % p == 0), p, 1)
+        d = np.where(forced, ells, 1).prod(axis=0)
         owner = np.arange(len(c))
         for ell in ells:
             # ell | c-1 and d <= max(top, c-1), so d*ell < max(c*(top+1), c*c)
@@ -332,12 +327,12 @@ def _spread(sizes: np.ndarray, done: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
     """Records of every radimichael n = P*c over leaf nodes, whose
-    progressions c = P^-1 (mod L), c <= limit // P, are short. A term c is
-    kept if it is squarefree, every prime of it lies below least and
+    progressions c = P^-1 (mod L), 1 < c <= limit // P, are short. A term c
+    is kept if it is squarefree, every prime of it lies below least and
     rad(q-1) | n-1 for each of them."""
     limit, root, primes, rad = plan.limit, plan.root, plan.primes, plan.rad
     c0 = _inverse(nodes[0], nodes[1])
-    c0 += np.where((c0 == 1) & (nodes[4] == 1), nodes[1], 0)  # c = 1 makes n = P prime
+    c0 += np.where(c0 == 1, nodes[1], 0)  # _small_prime_part takes c = 1
     terms = np.maximum((limit // nodes[0] - c0) // nodes[1] + 1, 0)
     for done in range(0, int(terms.sum()), _BATCH):
         node, k = _spread(terms, done)
@@ -384,21 +379,23 @@ def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
     n = P*c with L = lcm rad(q-1) over q | P dividing n-1, so c = P^-1
     (mod L), and every prime of c lies below least = min(P). A node is a
     column (P, L, phi(P), lambda(P), omega(P), least). The search takes a
-    batch of nodes at a time, depth first: a leaf walks its progression,
-    and the stack holds each depth's interior nodes with a cursor into
-    their children, of which it makes at most _BATCH at a time.
+    batch of nodes at a time, depth first: c = 1 is decided for every node,
+    a leaf walks the rest of its progression, and the stack holds each
+    depth's interior nodes with a cursor into their children, of which it
+    makes at most _BATCH at a time.
     """
     limit, primes, rad = plan.limit, plan.primes, plan.rad
     nodes = np.stack([tops, rad[tops], tops - 1, tops - 1, np.ones_like(tops), tops])
     stack = []
     while True:
-        leaf = limit // nodes[0] // nodes[1] <= _WALK_TERMS
-        if leaf.any():
-            yield from _walk(plan, nodes[:, leaf])
-        P, L, phi, lam, omega, least = nodes = nodes[:, ~leaf]
+        P, L, phi, lam, omega, least = nodes
         single = (omega > 1) & (P % L == 1)  # c = 1: n = P, if P is not prime
         if single.any():
             yield np.stack([P, phi, lam, omega])[:, single]
+        leaf = limit // P // L <= _WALK_TERMS
+        if leaf.any():
+            yield from _walk(plan, nodes[:, leaf])
+        nodes, P, least = nodes[:, ~leaf], P[~leaf], least[~leaf]
         # a child takes one more prime q < least with P*q <= limit
         sizes = np.searchsorted(primes, np.minimum(least - 1, limit // P), side="right")
         stack.append([nodes, sizes, 0])

@@ -18,8 +18,11 @@ PIECES_PER_SEND = 16
 
 
 def check_workers(workers: int) -> None:
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    """Refuse a worker count that is not an int (a bool or a float too) or
+    lies outside [1, MAX_WORKERS]."""
+    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}] and be an int, "
+                         f"got {workers!r}")
 
 
 def _current_cpu() -> int | None:

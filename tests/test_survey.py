@@ -335,6 +335,32 @@ def test_both_parts_enumerate_exactly_the_naive_radimichael_numbers(monkeypatch,
                 assert sorted_records(survey_module._large_prime_part(plan, cs)) == large
 
 
+def test_plan_tables_at_1e8_match_the_oracle_for_every_m_up_to_the_root(oracle_factorize):
+    # root 10^4: every column of the factor table and of cofactors, and rad
+    # at every prime
+    plan = survey_module._plan(10**8, [10**8], DEFAULT_K_MAX)
+    assert plan.root == 10**4
+    factors, cofactors = plan.factors.T.tolist(), plan.cofactors.T.tolist()
+    rad = plan.rad.tolist()
+
+    def primes_of(m):
+        return [q for q, _ in oracle_factorize(m).factors] if m else []
+
+    primes = [m for m in range(2, plan.root + 1) if primes_of(m) == [m]]
+    assert plan.primes.tolist() == primes[1:]
+    assert all(rad[q] == prod(primes_of(q - 1)) for q in primes)
+    for m in range(plan.root + 1):
+        qs = primes_of(m)
+        assert factors[m] == qs + [1] * (len(factors[m]) - len(qs)), m
+        L = lcm(*(prod(primes_of(q - 1)) for q in qs))
+        if m % 2 and prod(qs) == m and gcd(L, m) == 1:
+            want = [L, max(qs, default=1), prod(q - 1 for q in qs),
+                    lcm(*(q - 1 for q in qs)), len(qs)]
+        else:
+            want = [0] * 5
+        assert cofactors[m] == want, m
+
+
 def test_tally_index_and_carmichael_rule_match_classify():
     # an even n >= 4 has 2 | phi(n) but not n-1, so only odd n can qualify;
     # with one checkpoint per number, each tally column holds one n

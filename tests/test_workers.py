@@ -153,6 +153,6 @@ def test_worker_counts_outside_the_cap_are_refused_before_any_fork(monkeypatch):
              lambda w: stream_theorem2(2, 3, 10, range(1, 50), workers=w),
              lambda w: fork_map(lambda unit, units: [unit], w))
     for call in calls:
-        for workers in (0, MAX_WORKERS + 1, 10**5):
+        for workers in (0, MAX_WORKERS + 1, 10**5, 2.0, True):
             with pytest.raises(ValueError, match="workers must lie in"):
                 call(workers)
