@@ -44,7 +44,8 @@ class TupleSpec:
     """Search parameters: primes of the form a^l * n + 1 for l in `window`.
 
     The default window (b+1, b+s) has s slots; theorem2_search passes its
-    own. Both bounds are inclusive.
+    own. Both bounds are inclusive, and exponents start at 1: at l = 0,
+    p - 1 = n is not divisible by a*n, as the certificate identities need.
     """
     a: int
     b: int
@@ -68,11 +69,9 @@ class TupleSpec:
         if self.a >= U64_LIMIT or self.n_max >= U64_LIMIT:
             # a and every n are factored to certify a product
             raise ValueError("need a < 2**64 and n_max < 2**64")
-        if self.m > self.s + 1:
-            raise ValueError(f"m={self.m} exceeds s+1={self.s + 1} window slots")
         lo, hi = self.window
-        if not 0 <= lo <= hi:
-            raise ValueError(f"empty or negative exponent window {self.window}")
+        if not 1 <= lo <= hi:
+            raise ValueError(f"exponent window {self.window} is empty or starts below 1")
         if self.m > hi - lo + 1:
             raise ValueError(f"m={self.m} exceeds the {hi - lo + 1}-slot window")
         if self.n_min < 1 or self.n_min > self.n_max:
@@ -174,16 +173,17 @@ def build_radimichael(spec: TupleSpec, n: int,
                       exponents: tuple[int, ...]) -> RadimichaelCertificate:
     """Certify the product of the primes a^l * n + 1 for the given exponents.
 
-    The request must be spec.m strictly increasing exponents >= 1 inside
-    spec.window (the certificate identities need every p_i - 1 divisible by
-    a*n), with n in [spec.n_min, spec.n_max]; any other is refused with
-    ValueError before a power is built. The certificate is re-verified
-    before being returned: a composite component, or any other failure,
-    raises CertificateViolationError rather than emitting a bad record.
-    Only the self-check tests primality.
+    The request must be an int n in [spec.n_min, spec.n_max] and spec.m
+    strictly increasing int exponents inside spec.window; any other is
+    refused with ValueError before a power is built. The certificate is
+    re-verified before being returned: a composite component, or any other
+    failure, raises CertificateViolationError rather than emitting a bad
+    record. Only the self-check tests primality.
     """
     exponents = tuple(exponents)
-    lo, hi = max(spec.window[0], 1), spec.window[1]
+    if type(n) is not int or any(type(l) is not int for l in exponents):
+        raise ValueError(f"n and the exponents must be ints, got {n!r}, {exponents!r}")
+    lo, hi = spec.window
     if not spec.n_min <= n <= spec.n_max:
         raise ValueError(f"n={n} outside [{spec.n_min}, {spec.n_max}]")
     if (len(exponents) != spec.m or not lo <= exponents[0] <= exponents[-1] <= hi
@@ -194,31 +194,6 @@ def build_radimichael(spec: TupleSpec, n: int,
     if not verify_certificate(cert):
         raise CertificateViolationError(f"self-check failed for N={cert.N}")
     return cert
-
-
-def non_carmichael_check(cert: RadimichaelCertificate) -> bool:
-    """Confirm the witness that N is not Carmichael.
-
-    True iff the modulus is p_2 - 1 and N mod (p_2 - 1) is p_1 != 1; were
-    N Carmichael, Korselt would force that residue to be 1. The verdict is
-    additionally cross-checked against the Korselt test itself (an
-    independent route: lcm of p-1 instead of the residue argument). The
-    cross-check uses the certificate's listed primes; verify_certificate
-    establishes their primality and product before relying on this.
-    """
-    try:
-        p1, p2 = cert.primes[:2]
-        modulus, residue = cert.non_carmichael_modulus, cert.non_carmichael_residue
-        if modulus != p2 - 1 or cert.N % modulus != residue:
-            return False
-        if residue != p1 or p1 == 1:
-            return False
-        f = Factorization(cert.N, tuple((p, 1) for p in cert.primes))
-        if is_carmichael(cert.N, f):
-            return False
-    except (ValueError, TypeError, ZeroDivisionError):
-        return False
-    return True
 
 
 def oversize(cert: RadimichaelCertificate) -> str | None:
@@ -237,9 +212,11 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
     """Re-verify a certificate from scratch; False on any discrepancy.
 
     Every field must equal the one _certificate derives from a, b, n and the
-    exponents. Then every component must be prime, kappa(N) must divide
-    N-1, the non-Carmichael witness must hold, and the Lehmer index must
-    pass the big-integer divisibility oracle at k and fail it at k-1.
+    exponents. Then every component must be prime and kappa(N) must divide
+    N-1. The non-Carmichael witness must hold: N mod (p_2 - 1) is p_1 != 1,
+    so p_2 - 1 does not divide N - 1, which Korselt's test on the listed
+    primes must confirm as an independent route. Last, the Lehmer index
+    must pass the big-integer divisibility oracle at k and fail it at k-1.
     """
     try:
         a, n, exponents, primes = cert.a, cert.n, cert.exponents, cert.primes
@@ -268,10 +245,11 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
             return False
         if not all(prime_verdict(p) for p in primes):
             return False
-        if (cert.N - 1) % cert.kappa_N != 0 or not non_carmichael_check(cert):
+        f = Factorization(cert.N, tuple((p, 1) for p in primes))
+        if ((cert.N - 1) % cert.kappa_N != 0 or cert.non_carmichael_residue != primes[0]
+                or primes[0] == 1 or is_carmichael(cert.N, f)):
             return False
         k = cert.lehmer_index
-        f = Factorization(cert.N, tuple((p, 1) for p in primes))
         return is_k_lehmer(cert.N, k, f) and not (k >= 2 and is_k_lehmer(cert.N, k - 1, f))
     except (ValueError, TypeError):
         return False
@@ -283,16 +261,15 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
 
 def _certified(spec: TupleSpec, n: int, all_subsets: bool,
                target: int | None) -> list[RadimichaelCertificate]:
-    """Scan n and certify its products of m usable primes: the m smallest,
+    """Scan n and certify its products of m primes: the m smallest,
     or with all_subsets every size-m selection. With a `target` index only
     the selections whose product has that index, computed from phi(N) and
     N-1, or that satisfy the sufficient condition sum(l_i - b) < b are
     certified."""
     primes = dict(scan_tuple(spec, n))
-    usable = [l for l in primes if l >= 1]
-    if len(usable) < spec.m:
+    if len(primes) < spec.m:
         return []
-    subsets = combinations(usable, spec.m) if all_subsets else [tuple(usable[:spec.m])]
+    subsets = combinations(primes, spec.m) if all_subsets else [tuple(primes)[:spec.m]]
     if target is not None:
         def on_target(subset: tuple[int, ...]) -> bool:
             if sum(l - spec.b for l in subset) < spec.b:
@@ -340,7 +317,7 @@ def stream_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
     """Scan spec's n range and certify every qualifying product, yielding
     each n's certificates once that n and every n before it are done.
 
-    Default selection is the m smallest usable primes per n;
+    Default selection is the m smallest primes per n;
     all_subsets=True certifies every size-m selection instead. Results are
     ordered by n (then by selection), independent of worker count. The
     parameters are checked on the call, before any search or fork; closing
@@ -364,13 +341,13 @@ def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     yielding each n's certificates once that n and every n before it are
     done.
 
-    Uses m = k-1 and the window (max(b, 1), b+s): exponent 0 is never
-    selectable, so at b = 0 the window has s slots, otherwise s+1. The
-    exact index of every size-m selection of primes per n is computed from
-    phi(N) and N-1 first, and only products of index k, or with the sufficient
-    condition sum(l_i - b) < b held, are certified; certificates of index
-    k are yielded. Certificates where the sufficient condition held but
-    the index came out different are appended to `diagnostics` (and
+    Uses m = k-1 and the window (max(b, 1), b+s): exponents start at 1, so
+    at b = 0 the window has s slots, otherwise s+1. The exact index of every
+    size-m selection of primes per n is computed from phi(N) and N-1 first,
+    and only products of index k, or with the sufficient condition
+    sum(l_i - b) < b held, are certified; certificates of index k are
+    yielded. Certificates where the sufficient condition held but the
+    index came out different are appended to `diagnostics` (and
     logged), never silently dropped. k = 2 is rejected: no product of a
     single tuple prime can land in L_2 \\ L_1, and semiprimes never do.
     `n_range` must have step 1. The parameters are checked on the call,

@@ -170,10 +170,10 @@ class _Plan(NamedTuple):
     # fewer (all 1 for m = 0 and 1), in the sieve's uint32
     factors: np.ndarray
     primes: np.ndarray      # odd primes <= root, ascending
-    rad: np.ndarray         # rad[q] = rad(q-1), q prime
     # cofactors[:, c] = (L, largest prime, phi(c), lambda(c), omega(c)), with
     # L the lcm of rad(q-1) over q | c, for every c <= root that can divide a
-    # radimichael number: odd, squarefree and coprime to L; zeros for any other c
+    # radimichael number: odd, squarefree and coprime to L; zeros for any other
+    # c. So L is rad(q-1) at every odd prime q
     cofactors: np.ndarray
 
 
@@ -191,7 +191,6 @@ def _plan(limit: int, checkpoints: list[int], k_max: int) -> _Plan:
             m[div] //= p[div]
     factors = np.array(factors, dtype=spf.dtype).reshape(-1, root + 1)
     radm = factors.prod(axis=0, dtype=np.int64)  # rad(m)
-    rad = np.concatenate(([1], radm[:-1]))
     # lam = lcm(q-1) over q | m is at most m, and L = rad(lam); initial=1
     # covers root 1, whose table has no rows
     cofactors = np.empty((5, root + 1), dtype=np.int64)
@@ -206,7 +205,7 @@ def _plan(limit: int, checkpoints: list[int], k_max: int) -> _Plan:
     # limit, so no L reaches the limit
     cofactors[:, (ints % 2 == 0) | (radm != ints) | (np.gcd(L, ints) != 1)] = 0
     return _Plan(limit, root, np.array(checkpoints, dtype=np.int64), k_max, factors,
-                 primes, rad, cofactors)
+                 primes, cofactors)
 
 
 def _tally(counts: np.ndarray, plan: _Plan, records: np.ndarray) -> None:
@@ -330,7 +329,8 @@ def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
     progressions c = P^-1 (mod L), 1 < c <= limit // P, are short. A term c
     is kept if it is squarefree, every prime of it lies below least and
     rad(q-1) | n-1 for each of them."""
-    limit, root, primes, rad = plan.limit, plan.root, plan.primes, plan.rad
+    limit, root, primes = plan.limit, plan.root, plan.primes
+    rad = plan.cofactors[0]  # rad(q-1) at each odd prime q
     c0 = _inverse(nodes[0], nodes[1])
     c0 += np.where(c0 == 1, nodes[1], 0)  # _small_prime_part takes c = 1
     terms = np.maximum((limit // nodes[0] - c0) // nodes[1] + 1, 0)
@@ -384,7 +384,8 @@ def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
     depth's interior nodes with a cursor into their children, of which it
     makes at most _BATCH at a time.
     """
-    limit, primes, rad = plan.limit, plan.primes, plan.rad
+    limit, primes = plan.limit, plan.primes
+    rad = plan.cofactors[0]  # rad(q-1) at each odd prime q
     nodes = np.stack([tops, rad[tops], tops - 1, tops - 1, np.ones_like(tops), tops])
     stack = []
     while True:

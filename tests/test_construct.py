@@ -18,7 +18,6 @@ from radimichael.construct import (
     build_radimichael,
     certificate_from_line,
     certificate_to_line,
-    non_carmichael_check,
     read_certificates,
     scan_tuple,
     search_radimichael,
@@ -40,17 +39,20 @@ def test_tuple_spec_window_defaults_and_validation():
     spec = TupleSpec(a=2, b=3, s=5, m=2, n_min=1, n_max=9)
     assert spec.window == (4, 8)
     with pytest.raises(ValueError):
-        TupleSpec(a=2, b=0, s=3, m=6, n_min=1, n_max=1)  # m > s+1
+        TupleSpec(a=2, b=0, s=3, m=6, n_min=1, n_max=1)  # 6 > the 3 slots of (1, 3)
     with pytest.raises(ValueError):
         TupleSpec(a=1, b=0, s=3, m=2, n_min=1, n_max=1)
     with pytest.raises(ValueError):
         TupleSpec(a=2, b=0, s=3, m=2, n_min=5, n_max=2)
     with pytest.raises(ValueError):
         TupleSpec(a=2, b=0, s=9, m=4, n_min=1, n_max=1, window=(1, 3))
-    # a negative exponent makes a^l * n + 1 a float; exponent 0 is allowed
-    with pytest.raises(ValueError, match="negative"):
-        TupleSpec(a=2, b=0, s=4, m=2, n_min=1, n_max=5, window=(-2, 3))
-    assert TupleSpec(a=2, b=0, s=4, m=2, n_min=1, n_max=5, window=(0, 3)).window == (0, 3)
+    # exponents start at 1: a negative one makes a^l * n + 1 a float, and at
+    # 0, p - 1 = n is not divisible by a*n
+    for window in ((-2, 3), (0, 3), (4, 3)):
+        with pytest.raises(ValueError, match="empty or starts below 1"):
+            TupleSpec(a=2, b=0, s=4, m=2, n_min=1, n_max=5, window=window)
+    # the slots of an explicit window decide how many exponents fit, not s
+    assert TupleSpec(a=2, b=0, s=1, m=3, n_min=1, n_max=5, window=(1, 5)).window == (1, 5)
     # a and every n are factored, so each must lie below 2^64
     TupleSpec(a=U64_LIMIT - 1, b=0, s=2, m=2, n_min=1, n_max=1)
     TupleSpec(a=2, b=0, s=2, m=2, n_min=1, n_max=U64_LIMIT - 1)
@@ -104,7 +106,7 @@ def test_build_triple_gives_255():
     assert cert.kappa_N == 2 and 254 % 2 == 0
     # lambda(255) = 16 does not divide 254, so 255 is not Carmichael
     assert not is_carmichael(255, factorize(255))
-    assert non_carmichael_check(cert)
+    assert verify_certificate(cert)
 
 
 def test_build_insufficient_hits():
@@ -117,12 +119,10 @@ def test_build_insufficient_hits():
 
 
 def test_build_explicit_subset():
-    spec = TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1, window=(0, 10))
+    spec = TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1, window=(1, 10))
     cert = build_radimichael(spec, 1, (4, 8))
     assert cert.N == 4369 and cert.primes == (17, 257)
     assert cert.lehmer_index == 3  # phi = 2^12, v2(4368) = 4, ceil(12/4)
-    # exponent-0 entries are reported by the scan but never selectable
-    assert (0, 2) in scan_tuple(spec, 1)
     with pytest.raises(ValueError, match="strictly increasing"):
         build_radimichael(spec, 1, (0, 1))
 
@@ -138,6 +138,10 @@ def test_build_explicit_subset():
     (1, (1, 10**9)),     # far above it: refused before 2^(10^9) is built
     (0, (1, 2)),         # n below the spec's range
     (11, (1, 2)),        # n above it
+    (1, (True, 2)),      # a bool exponent would be written as true
+    (True, (1, 2)),      # and a bool n as well
+    (1, (1, 2.0)),       # a float exponent
+    (1, (1, np.int64(2))),  # a numpy exponent
 ])
 def test_build_refuses_a_malformed_request(n, exponents):
     start = time.perf_counter()
@@ -191,11 +195,20 @@ def test_certificate_index_matches_classify_for_small_n():
 # witness and verification
 # ---------------------------------------------------------------------------
 
-def test_non_carmichael_check_and_negative_control():
+def test_non_carmichael_witness_and_negative_control():
     cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
-    assert non_carmichael_check(cert)
-    fake = replace(cert, non_carmichael_residue=1)
-    assert not non_carmichael_check(fake)
+    assert verify_certificate(cert)
+    assert not verify_certificate(replace(cert, non_carmichael_residue=1))
+    assert not verify_certificate(replace(cert, non_carmichael_modulus=2))
+
+
+def test_verify_certificate_needs_korselt_to_agree(monkeypatch):
+    # the Korselt test on the listed primes is a route of its own: were it
+    # to call N Carmichael, a genuine record would fail
+    cert = build_radimichael(spec_2_0_4(m=3), 1, (1, 2, 4))
+    assert verify_certificate(cert)
+    monkeypatch.setattr(construct, "is_carmichael", lambda n, f: True)
+    assert not verify_certificate(cert)
 
 
 def test_verify_certificate_round_trip_and_tampering():
@@ -213,7 +226,7 @@ def test_verify_certificate_round_trip_and_tampering():
 
 
 def test_verify_certificate_oracle_on_4369():
-    spec = TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1, window=(0, 10))
+    spec = TupleSpec(a=2, b=0, s=10, m=2, n_min=1, n_max=1, window=(1, 10))
     cert = build_radimichael(spec, 1, (4, 8))
     assert 4368**3 % 4096 == 0 and 4368**2 % 4096 != 0
     assert verify_certificate(cert)
@@ -331,7 +344,7 @@ def test_theorem2_sufficient_condition_bounds_index():
 def _certify_everything_oracle(a, k, s, n_range, b, workers):
     """theorem2 by certifying every size-(k-1) selection, then filtering."""
     spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0],
-                     n_max=n_range[-1], window=(b, b + s))
+                     n_max=n_range[-1], window=(max(b, 1), b + s))
     certs = search_radimichael(spec, all_subsets=True, workers=workers)
     emitted = [c for c in certs if c.lehmer_index == k]
     held = [c for c in certs
