@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
+from typing import Iterable
 
 U64_LIMIT = 1 << 64
 
@@ -25,9 +25,6 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 # Every prime below TRIAL_LIMIT, ascending; sieved once at import, never mutated.
 SMALL_PRIMES = _primes_below(TRIAL_LIMIT)
-
-# Strong-probable-prime rounds for n >= 2**64, on bases fixed by n alone.
-PROBABLE_ROUNDS = 30
 
 
 class FactorRangeError(ValueError):
@@ -71,75 +68,8 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
-    # n positive odd
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameter choice (D = 5, -7, 9, ...)."""
-    if isqrt(n) ** 2 == n:
-        return False
-    d = 5
-    while True:
-        j = _jacobi(d, n)
-        if j == -1:
-            break
-        if j == 0 and abs(d) != n:
-            return False
-        d = -(d + 2) if d > 0 else -(d - 2)
-    q = (1 - d) // 4
-
-    # factor n+1 = t * 2^s
-    t = n + 1
-    s = (t & -t).bit_length() - 1
-    t >>= s
-
-    # Lucas sequences U_t, V_t via binary ladder on the index
-    u, v, qk = 1, 1, q
-    for bit in bin(t)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":
-            u, v = (u + v) % n, (v + d * u) % n
-            if u & 1:
-                u += n
-            if v & 1:
-                v += n
-            u = u // 2 % n
-            v = v // 2 % n
-            qk = qk * q % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
-        if v == 0:
-            return True
-        qk = qk * qk % n
-    return False
-
-
-def prime_verdict(n: int) -> bool:
-    """True iff n is prime.
-
-    Below 2**64 the answer is exact (deterministic Miller-Rabin witness
-    tiers). At or above 2**64 a True is strong-probable-prime
-    (PROBABLE_ROUNDS pseudo-random bases derived from n alone, plus a strong
-    Lucas check); a False is certain either way. The bases depend on nothing
-    but n, so any verifier reproduces the producer's verdict exactly.
-    """
+def _u64_verdict(n: int) -> bool:
+    """True iff n is prime, for 0 <= n < 2**64 (deterministic witness tiers)."""
     if n < 2:
         return False
     for p in _SCREEN_PRIMES:
@@ -147,27 +77,71 @@ def prime_verdict(n: int) -> bool:
             return n == p
     if n < 41 * 41:
         return True
-
-    if n < U64_LIMIT:
-        for bound, bases in _MR_TIERS:
-            if n < bound:
-                break
-        for a in bases:
-            if not _strong_probable_prime(n, a):
-                return False
-        return True
-
-    # n >= 2**64: probable-prime policy
-    if not _strong_probable_prime(n, 2):
-        return False
-    # keyed by n alone; the fixed "0" keeps the bases that existing
-    # certificates were produced with
-    rng = random.Random(f"spp:0:{n % (1 << 128)}:{n.bit_length()}")
-    for _ in range(PROBABLE_ROUNDS):
-        a = rng.randrange(2, n - 1)
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    for a in bases:
         if not _strong_probable_prime(n, a):
             return False
-    return _strong_lucas_probable_prime(n)
+    return True
+
+
+def _pocklington(n: int, pm1_primes: Iterable[int]) -> bool:
+    """True iff n >= 2 is prime, proved from every distinct prime of n - 1.
+
+    Pocklington's theorem (Brillhart, Lehmer and Selfridge 1975): if for
+    each prime q of n - 1 some w has w^(n-1) = 1 (mod n) and
+    gcd(w^((n-1)/q) - 1, n) = 1, every prime factor of n is 1 mod n - 1, so
+    n is prime. For each q, ascending, the least w >= 2 with
+    x = w^((n-1)/q) != 1 (mod n) is taken; x^q != 1, or a factor shared by
+    x - 1 and n, proves n composite.
+
+    Each q must be a prime below 2**64, and together they must divide n - 1
+    down to 1. The w search stops at 2 * bits(n)^2; a q left without a w
+    raises ValueError unless another q proved n composite. No verdict is
+    guessed.
+    """
+    primes = sorted(set(pm1_primes))
+    rest = n - 1
+    for q in primes:
+        if type(q) is not int or not 1 < q < U64_LIMIT or not _u64_verdict(q):
+            raise ValueError(f"{q!r} is not a prime below 2**64")
+        if rest % q:
+            raise ValueError(f"{q} does not divide {n} - 1")
+        while rest % q == 0:
+            rest //= q
+    if rest != 1:
+        raise ValueError(f"the primes given for {n} - 1 leave its factor {rest}")
+    w_max = 2 * n.bit_length() ** 2
+    unproved = []
+    for q in primes:
+        e = (n - 1) // q
+        for w in range(2, w_max + 1):
+            if (x := pow(w, e, n)) != 1:
+                if pow(x, q, n) != 1 or gcd(x - 1, n) != 1:
+                    return False
+                break
+        else:
+            unproved.append(q)
+    if unproved:
+        raise ValueError(f"no w in [2, {w_max}] has w^(({n} - 1)/q) != 1 for "
+                         f"q in {unproved}, and none proved {n} composite")
+    return True
+
+
+def prime_verdict(n: int, pm1_primes: Iterable[int] = ()) -> bool:
+    """True iff n is prime, exactly at every size.
+
+    Below 2**64 deterministic Miller-Rabin witness tiers decide, and
+    pm1_primes is not read. At or above 2**64, pm1_primes must be every
+    distinct prime of n - 1, and Pocklington's theorem decides; without
+    them, or when no verdict can be proved, ValueError is raised.
+    """
+    if type(n) is not int:
+        raise ValueError(f"prime_verdict needs an int, got {n!r}")
+    if n < U64_LIMIT:
+        return _u64_verdict(n)
+    return _pocklington(n, pm1_primes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Carmichael, radimichael, and k-Lehmer decisions with brute-force oracles.
+"""Carmichael, radimichael, and k-Lehmer decisions, and the is_k_lehmer oracle.
 
 The Lehmer index of a composite n is the minimal k with phi(n) | (n-1)^k,
 encoded here as an int, or None when no such k exists (n not radimichael).
@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Factorization, carmichael_lambda, euler_phi, factorize, radical
-
-# fermat_oracle_is_carmichael does n modular exponentiations; beyond this it
-# is a test-only tool and must be forced explicitly.
-FERMAT_ORACLE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -40,23 +36,6 @@ def is_carmichael(n: int, f: Factorization) -> bool:
     """Korselt's criterion: n squarefree and lambda(n) | n-1 (composite n)."""
     _check_composite(n, f)
     return f.squarefree and (n - 1) % carmichael_lambda(f) == 0
-
-
-def fermat_oracle_is_carmichael(n: int, *, force: bool = False) -> bool:
-    """Exhaustive Fermat check: a^n == a (mod n) for every a in [0, n).
-
-    This is the definitional oracle that is_carmichael is tested against.
-    Early exit on the first failing base does not change the result.
-    """
-    if n < 4:
-        raise ValueError(f"{n} is not composite")
-    if n > FERMAT_ORACLE_LIMIT and not force:
-        raise ValueError(f"n={n} exceeds the oracle cost bound {FERMAT_ORACLE_LIMIT}")
-    # a = 0 and a = 1 satisfy a^n = a for every n >= 1
-    for a in range(2, n):
-        if pow(a, n, n) != a:
-            return False
-    return True
 
 
 def is_radimichael(n: int, f: Factorization) -> bool:

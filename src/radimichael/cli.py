@@ -75,17 +75,9 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 def _emit_certificates(certs, diagnostics, args, label: str) -> int:
     """Write each certificate as the search yields it, then the summary."""
-    probable = 0
-
-    def counted():
-        nonlocal probable
-        for cert in certs:
-            probable += cert.probable_prime_flag
-            yield cert
-
     stream, owned = _open_output(args.output)
     try:
-        count = construct.write_certificates(counted(), stream)
+        count = construct.write_certificates(certs, stream)
         stream.flush()  # a closed pipe fails here, before the summary
     finally:
         certs.close()  # a failed write stops the search and its workers
@@ -100,8 +92,8 @@ def _emit_certificates(certs, diagnostics, args, label: str) -> int:
               f"[{args.n_min}, {args.n_max}]; an empty window is not an error",
               file=sys.stderr)
     else:
-        print(f"# {label}: {count} certificates ({probable} probable) "
-              f"from n in [{args.n_min}, {args.n_max}]", file=sys.stderr)
+        print(f"# {label}: {count} certificates from n in "
+              f"[{args.n_min}, {args.n_max}]", file=sys.stderr)
     return 0
 
 

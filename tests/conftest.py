@@ -1,4 +1,4 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and brute-force oracles shared by the test modules."""
 
 from math import isqrt
 
@@ -8,6 +8,10 @@ import pytest
 from radimichael.arith import Factorization
 
 ORACLE_LIMIT = 10**6
+
+# fermat_oracle_is_carmichael does n modular exponentiations; beyond this it
+# is a test-only tool and must be forced explicitly.
+FERMAT_ORACLE_LIMIT = 10**6
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +38,20 @@ def oracle_factorize():
         return Factorization(n, tuple(factors))
 
     return factorize
+
+
+def fermat_oracle_is_carmichael(n: int, *, force: bool = False) -> bool:
+    """Exhaustive Fermat check: a^n == a (mod n) for every a in [0, n).
+
+    This is the definitional oracle that is_carmichael is tested against.
+    Early exit on the first failing base does not change the result.
+    """
+    if n < 4:
+        raise ValueError(f"{n} is not composite")
+    if n > FERMAT_ORACLE_LIMIT and not force:
+        raise ValueError(f"n={n} exceeds the oracle cost bound {FERMAT_ORACLE_LIMIT}")
+    # a = 0 and a = 1 satisfy a^n = a for every n >= 1
+    for a in range(2, n):
+        if pow(a, n, n) != a:
+            return False
+    return True

@@ -11,10 +11,10 @@ import time
 
 import pytest
 
+from conftest import fermat_oracle_is_carmichael
 from radimichael.arith import U64_LIMIT, Factorization, factorize
 from radimichael.classify import (
     classify,
-    fermat_oracle_is_carmichael,
     is_carmichael,
     is_k_lehmer,
     lehmer_index,

@@ -4,6 +4,8 @@ import random
 from math import gcd, isqrt, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radimichael.arith import (
     SMALL_PRIMES,
@@ -16,6 +18,7 @@ from radimichael.arith import (
     factorize,
     prime_verdict,
     radical,
+    _pocklington,
 )
 
 
@@ -92,42 +95,79 @@ def test_is_prime_strong_pseudoprime_traps():
     assert trial_is_prime(151) and trial_is_prime(751) and trial_is_prime(28351)
 
 
+def pm1_primes(n, *parts):
+    """The distinct primes of n - 1, from factors of it below 2**64."""
+    assert prod(parts) == n - 1
+    return {p for part in parts for p, _ in factorize(part).factors}
+
+
+# a Chernick Carmichael number (6k+1)(12k+1)(18k+1) above 2**64, at
+# k = 300615, and the primes of its n - 1 = 36k * (36k^2 + 11k + 1)
+K = 300615
+CHERNICK = (6 * K + 1) * (12 * K + 1) * (18 * K + 1)
+CHERNICK_PM1_PRIMES = pm1_primes(CHERNICK, 36 * K, 36 * K * K + 11 * K + 1)
+
+
 def test_prime_verdict_probable_flag():
-    # verdicts on both sides of 2**64, where the test turns probable
+    # verdicts on both sides of 2**64, where Pocklington's proof takes over
     assert prime_verdict(2**61 - 1) is True
-    assert prime_verdict(2**89 - 1) is True  # Mersenne prime, above 2**64
-    assert prime_verdict((2**61 - 1) ** 2) is False
-    # product of two witnessed primes above 2**32
-    assert prime_verdict((2**61 - 1) * (2**89 - 1)) is False
+    assert prime_verdict(2**89 - 1, pm1_primes(2**89 - 1, 2, 2**44 - 1, 2**44 + 1)) is True
+    assert prime_verdict(9 * 2**65 + 1, (2, 3)) is True
+    assert prime_verdict(9 * 2**66 + 1, (2, 3)) is False
+    assert prime_verdict((2**61 - 1) ** 2, pm1_primes((2**61 - 1) ** 2, 2**62, 2**60 - 1)) is False
+    # Fermat's F6 = 274177 * 67280421310721, with n - 1 = 2**64
+    assert prime_verdict(2**64 + 1, (2,)) is False
+    # a Carmichael number passes the Fermat test to every base prime to it:
+    # a shared factor of x - 1 and n shows it composite
+    assert CHERNICK >= U64_LIMIT and all(prime_verdict(6 * j * K + 1) for j in (1, 2, 3))
+    assert prime_verdict(CHERNICK, CHERNICK_PM1_PRIMES) is False
 
 
 def test_prime_verdict_deterministic():
-    # above 2**64 the bases are a function of n alone: the same verdict on
-    # every call, whatever was tested before
-    ns = [2**89 - 1, 2**127 - 1, (2**61 - 1) * (2**89 - 1), 2**64 + 1, 2**64 + 13]
-    first = [prime_verdict(n) for n in ns]
-    again = [prime_verdict(n) for n in reversed(ns)][::-1]
-    assert first == again
-    assert first[:3] == [True, True, False]
-    assert first[0] == first[1] == prime_verdict(2**89 - 1)
+    # above 2**64 the verdict is a proof from the primes of n - 1: the same
+    # on every call, whatever was tested before, and in any order of primes
+    cases = [
+        (2**89 - 1, pm1_primes(2**89 - 1, 2, 2**44 - 1, 2**44 + 1)),
+        (2**127 - 1, pm1_primes(2**127 - 1, 2, 2**63 - 1, 2**63 + 1)),
+        (CHERNICK, CHERNICK_PM1_PRIMES),
+        (2**64 + 1, {2}),
+        (2**64 + 13, pm1_primes(2**64 + 13, 4, 2**62 + 3)),
+    ]
+    first = [prime_verdict(n, primes) for n, primes in cases]
+    again = [prime_verdict(n, sorted(primes, reverse=True)) for n, primes in reversed(cases)]
+    assert first == again[::-1] == [True, True, False, False, True]
 
 
-def test_strong_lucas_component():
-    from math import isqrt
-    from radimichael.arith import _strong_lucas_probable_prime
-    passed = []
-    for n in range(3, 30000, 2):
-        if isqrt(n) ** 2 == n:
-            continue
-        lucas = _strong_lucas_probable_prime(n)
-        if trial_is_prime(n):
-            assert lucas, f"prime {n} rejected by the Lucas test"
-        elif lucas:
-            passed.append(n)
-    # the composites that slip through are exactly the first strong Lucas
-    # pseudoprimes; random Miller-Rabin rounds cover them in prime_verdict
-    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
-    assert all(not trial_is_prime(n) for n in passed)
+@pytest.mark.parametrize("n, primes", [
+    (9 * 2**65 + 1, ()),            # no primes of n - 1
+    (9 * 2**65 + 1, (2,)),          # 3 is missing
+    (9 * 2**65 + 1, (3,)),          # 2 is missing
+    (9 * 2**65 + 1, (2, 3, 5)),     # 5 does not divide n - 1
+    (9 * 2**65 + 1, (2, 9)),        # 9 is not prime
+    (9 * 2**65 + 1, (2, 3.0)),      # nor an int
+    (2**89 - 1, (2, 3)),            # 2**88 - 1 has primes above 3
+    (3.0, ()),                      # n a float
+    (True, ()),                     # or a bool
+])
+def test_prime_verdict_refuses_what_it_cannot_prove(n, primes):
+    with pytest.raises(ValueError):
+        prime_verdict(n, primes)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_pocklington_agrees_with_miller_rabin_below_2_64(data):
+    # the proof used at or above 2**64, run on tuple candidates a^l * n + 1
+    # that the witness tiers decide exactly: a composite never passes it
+    a = data.draw(st.integers(2, 12))
+    l_max = 1
+    while a ** (l_max + 1) < U64_LIMIT - 1:
+        l_max += 1
+    l = data.draw(st.integers(1, l_max))
+    n = data.draw(st.integers(1, (U64_LIMIT - 2) // a**l))
+    p = a**l * n + 1
+    primes = {q for m in (a, n) for q, _ in factorize(m).factors}
+    assert _pocklington(p, primes) == prime_verdict(p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fermat_oracle_is_carmichael
 from radimichael.arith import euler_phi, factorize
 from radimichael.classify import (
     NumberClass,
     classify,
-    fermat_oracle_is_carmichael,
     is_carmichael,
     is_k_lehmer,
     is_radimichael,

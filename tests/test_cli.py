@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import radimichael
+from radimichael import construct
 from radimichael.cli import main
 from radimichael.construct import (
     MAX_CERTIFICATE_BITS,
@@ -271,8 +272,6 @@ THEOREM2_K4 = ["theorem2", "--a", "2", "--k", "4", "--s", "16",
 
 
 def test_theorem2_streams_its_lines_in_n_order_for_any_worker_count(monkeypatch):
-    from radimichael import construct
-
     scanned = 0
     scan_tuple = construct.scan_tuple
 
@@ -388,6 +387,32 @@ def test_verify_tampered_file(tmp_path, capsys):
     assert "record 1: FAIL" in out
 
 
+def test_an_unproved_component_ends_a_search_in_exit_2_and_fails_verify(
+        tmp_path, capsys, monkeypatch):
+    # components 9 * 2^65 + 1 and up: proved prime from the primes 2 and 3
+    # of p - 1, or, where no proof is found, no verdict at all
+    path = tmp_path / "c.jsonl"
+    argv = ("construct", "--a", "2", "--b", "64", "--s", "8", "--m", "2",
+            "--n-min", "9", "--n-max", "9")
+    code, _, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0 and err == "# construct: 1 certificates from n in [9, 9]\n"
+    [cert] = map(certificate_from_line, path.read_text().splitlines())
+    assert cert.primes[0] == 9 * 2**65 + 1 and cert.probable_prime_flag
+    real = construct.prime_verdict
+
+    def unproved(n, pm1_primes=()):
+        if n >= 2**64:
+            raise ValueError("no verdict")
+        return real(n, pm1_primes)
+
+    monkeypatch.setattr(construct, "prime_verdict", unproved)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err == "error: no verdict\n"
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == f"record 1: FAIL (N={cert.N})\nverify: 0/1 records passed\n"
+
+
 def test_verify_refuses_records_above_component_cap(tmp_path, capsys):
     path = _write_certs(capsys, tmp_path)
     cert = certificate_from_line(path.read_text().splitlines()[0])
@@ -413,7 +438,6 @@ def test_verify_refuses_records_above_component_cap(tmp_path, capsys):
 def test_verify_refuses_a_record_that_verify_certificate_fails_on_size(tmp_path, capsys):
     # the record test_verify_fails_an_over_cap_component_before_any_primality_test
     # fails in the library: 2,210- and 2,818-bit components, N under its cap
-    from radimichael import construct
     cert = construct._certificate(2, 0, 3, (2208, 2816))
     path = tmp_path / "big.jsonl"
     path.write_text(certificate_to_line(cert) + "\n")

@@ -75,8 +75,11 @@ def test_scan_tuple_examples():
     assert scan_tuple(spec_2_0_4(), 7) == ((2, 29), (4, 113))  # 15 and 57 are composite
     # 2*31+1 = 63 and 4*31+1 = 125 are both composite
     assert scan_tuple(TupleSpec(a=2, b=0, s=2, m=2, n_min=31, n_max=31), 31) == ()
-    with pytest.raises(ValueError):
-        scan_tuple(spec_2_0_4(), 11)  # outside the n range
+    # outside the n range, or not an int: a float n would give float
+    # components, and a bool n would pass for 1
+    for n in (11, 1.0, True, np.int64(1)):
+        with pytest.raises(ValueError):
+            scan_tuple(spec_2_0_4(), n)
 
 
 def test_scan_tuple_monotone_in_window():
@@ -165,9 +168,9 @@ def test_build_tests_each_selected_prime_once(monkeypatch):
     inside_verify = [False]
     real_verdict, real_verify = construct.prime_verdict, construct.verify_certificate
 
-    def counting_verdict(n):
+    def counting_verdict(n, pm1_primes=()):
         calls.append((n, inside_verify[0]))
-        return real_verdict(n)
+        return real_verdict(n, pm1_primes)
 
     def tracking_verify(cert):
         inside_verify[0] = True
@@ -255,6 +258,17 @@ def test_probable_prime_certificates_are_flagged():
     assert verify_certificate(cert)
     # a component at or above 2^64 must carry the flag
     assert not verify_certificate(replace(cert, probable_prime_flag=False))
+
+
+def test_scan_factors_n_only_once_a_component_reaches_2_64(monkeypatch):
+    calls = []
+    real = construct.factorize
+    monkeypatch.setattr(construct, "factorize", lambda m: calls.append(m) or real(m))
+    scan_tuple(spec_2_0_4(), 7)
+    assert calls == []
+    # 9 * 2^65 + 1 onward: the primes of a and n, once for the whole window
+    scan_tuple(TupleSpec(a=2, b=64, s=8, m=2, n_min=9, n_max=9), 9)
+    assert calls == [2, 9]
 
 
 def test_certificate_with_a_times_n_above_64_bits():
@@ -416,9 +430,9 @@ def test_theorem2_never_scans_exponent_zero(monkeypatch):
     calls = []
     real_verdict = construct.prime_verdict
 
-    def counting_verdict(n):
+    def counting_verdict(n, pm1_primes=()):
         calls.append(n)
-        return real_verdict(n)
+        return real_verdict(n, pm1_primes)
 
     monkeypatch.setattr(construct, "prime_verdict", counting_verdict)
     # b = 0: the window is 1..s, so s verdicts per n, plus the self-verify's
@@ -441,7 +455,8 @@ def test_verify_fails_an_over_cap_component_before_any_primality_test(monkeypatc
     cert = construct._certificate(2, 0, 3, (2208, 2816))
     assert construct.oversize(cert) == "a 2818-bit component exceeds the 2048-bit cap"
     calls = []
-    monkeypatch.setattr(construct, "prime_verdict", lambda p: calls.append(p) or True)
+    monkeypatch.setattr(construct, "prime_verdict",
+                        lambda p, pm1_primes=(): calls.append(p) or True)
     assert not verify_certificate(cert)
     assert calls == []
 
