@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, factorization, phi, lambda, radical."""
+"""Exact integer arithmetic: primality, factorization, phi and lambda."""
 
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 # Every prime below TRIAL_LIMIT, ascending; sieved once at import, never mutated.
 SMALL_PRIMES = _primes_below(TRIAL_LIMIT)
-
-
-class FactorRangeError(ValueError):
-    """factorize() only accepts inputs below 2**64."""
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +224,12 @@ def factorize(n: int) -> Factorization:
     """Full prime-power factorization of n (1 <= n < 2**64).
 
     Trial division by SMALL_PRIMES, then Brent rho for a surviving cofactor
-    of TRIAL_LIMIT**2 or more. Values at or above 2**64 raise FactorRangeError.
+    of TRIAL_LIMIT**2 or more. Values at or above 2**64 raise ValueError.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n >= U64_LIMIT:
-        raise FactorRangeError(f"{n} >= 2**64; factorize only handles 64-bit inputs")
+        raise ValueError(f"{n} >= 2**64; factorize only handles 64-bit inputs")
     if n == 1:
         return Factorization(1, ())
 
@@ -282,13 +278,5 @@ def carmichael_lambda(f: Factorization) -> int:
         else:
             block = p ** (e - 1) * (p - 1)
         result = result * block // gcd(result, block)
-    return result
-
-
-def radical(f: Factorization) -> int:
-    """Largest squarefree divisor: product of the distinct primes."""
-    result = 1
-    for p, _ in f.factors:
-        result *= p
     return result
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Factorization, carmichael_lambda, euler_phi, factorize, radical
+from .arith import Factorization, carmichael_lambda, euler_phi, factorize
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,6 @@ def is_carmichael(n: int, f: Factorization) -> bool:
     """Korselt's criterion: n squarefree and lambda(n) | n-1 (composite n)."""
     _check_composite(n, f)
     return f.squarefree and (n - 1) % carmichael_lambda(f) == 0
-
-
-def is_radimichael(n: int, f: Factorization) -> bool:
-    """True iff rad(phi(n)) divides n-1 (composite n)."""
-    _check_composite(n, f)
-    k = radical(factorize(euler_phi(f)))
-    return (n - 1) % k == 0
 
 
 def lehmer_index_from_phi(phi: int, n_minus_1: int) -> int | None:

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from . import arith, construct
+from . import construct
 from .classify import classify
 from .survey import (
     DEFAULT_K_MAX,
@@ -41,8 +41,6 @@ def _open_output(path: str | None):
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 1 or n >= arith.U64_LIMIT:
-        raise ValueError(f"classify accepts 1 <= n < 2**64, got {n}")
     record = classify(n)
     if record.category != "composite":
         print(f"{n}: {record.category}")

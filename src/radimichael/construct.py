@@ -307,8 +307,9 @@ def _search(spec: TupleSpec, all_subsets: bool, workers: int, target: int | None
     taking the units' pieces in turn visits n in order.
 
     With a `target` index only certificates of that index are yielded; the
-    others, which only the sufficient condition let through, are logged and
-    go to `diagnostics`. Closing this stops the search's workers.
+    others, which only the sufficient condition let through, go to
+    `diagnostics`, or are logged when it is None, so each is reported once.
+    Closing this stops the search's workers.
     """
     def work(unit: int, units: int) -> Iterator[list[RadimichaelCertificate]]:
         return (_certified(spec, n, all_subsets, target)
@@ -319,12 +320,13 @@ def _search(spec: TupleSpec, all_subsets: bool, workers: int, target: int | None
             if target is None or cert.lehmer_index == target:
                 yield cert
             elif cert.sufficient_condition_held:
-                import logging  # imported only on this unexpected path
-                logging.getLogger(__name__).warning(
-                    "sufficient condition held but index=%s != %s for N=%s",
-                    cert.lehmer_index, target, cert.N)
                 if diagnostics is not None:
                     diagnostics.append(cert)
+                else:
+                    import logging  # imported only on this unexpected path
+                    logging.getLogger(__name__).warning(
+                        "sufficient condition held but index=%s != %s for N=%s",
+                        cert.lehmer_index, target, cert.N)
     finally:
         pieces.close()
 
@@ -365,12 +367,12 @@ def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     and only products of index k, or with the sufficient condition
     sum(l_i - b) < b held, are certified; certificates of index k are
     yielded. Certificates where the sufficient condition held but the
-    index came out different are appended to `diagnostics` (and
-    logged), never silently dropped. k = 2 is rejected: no product of a
-    single tuple prime can land in L_2 \\ L_1, and semiprimes never do.
-    `n_range` must have step 1. The parameters are checked on the call,
-    before any search or fork; closing the generator stops the search and
-    its workers.
+    index came out different are appended to `diagnostics`, or logged as
+    warnings when it is None, never silently dropped. k = 2 is rejected:
+    no product of a single tuple prime can land in L_2 \\ L_1, and
+    semiprimes never do. `n_range` must have step 1. The parameters are
+    checked on the call, before any search or fork; closing the generator
+    stops the search and its workers.
     """
     check_workers(workers)
     if k < 3:

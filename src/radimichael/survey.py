@@ -573,55 +573,3 @@ def report_write(report: SurveyReport, fmt: str) -> bytes:
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown report format {fmt!r}; expected one of {REPORT_FORMATS}")
 
-
-def _int_record(line: str, names: list[str]) -> list[int]:
-    """The values of a JSON object with exactly the fields `names`, each a
-    JSON integer (not a bool, float or numeric string)."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a JSON record: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError("report record must be a JSON object")
-    missing = [name for name in names if name not in record]
-    unknown = sorted(set(record) - set(names))
-    if missing or unknown:
-        raise ValueError(f"report record fields: missing {missing}, unknown {unknown}")
-    bad = [name for name in names if type(record[name]) is not int]
-    if bad:
-        raise ValueError(f"report fields that are not JSON integers: {bad}")
-    return [record[name] for name in names]
-
-
-def report_parse(data: bytes) -> SurveyReport:
-    """Parse the json-lines rendering back into a SurveyReport.
-
-    Only what report_write writes is accepted; anything else raises
-    ValueError.
-    """
-    lines = [line for line in data.decode().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty report data")
-    limit, k_max = _int_record(lines[0], ["limit", "k_max"])
-    if limit < 1 or not 1 <= k_max <= K_MAX_LIMIT:
-        raise ValueError(f"report header out of range: limit={limit}, k_max={k_max}")
-    rows, last = [], None
-    for line in lines[1:]:
-        v = _int_record(line, _columns(k_max))
-        row = CheckpointRow(*v[:5], tuple(v[5:5 + k_max]), *v[5 + k_max:])
-        # L1 <= ... <= Lk_max <= radimichael, and the omega classes split it
-        lehmer = [*row.lehmer, row.radimichael]
-        if (min(v) < 0
-                or row.radimichael_not_carmichael != row.radimichael - row.carmichael
-                or any(a > b for a, b in zip(lehmer, lehmer[1:]))
-                or row.omega2 + row.omega3 + row.omega4plus != row.radimichael):
-            raise ValueError(f"report row with a negative or inconsistent count: {line}")
-        if last and any(a > b for a, b in zip(last[1:], v[1:])):
-            raise ValueError(f"report count falls from the checkpoint before: {line}")
-        rows.append(row)
-        last = v
-    points = [0] + [row.checkpoint for row in rows]
-    if rows and (points[-1] != limit
-                 or any(a >= b for a, b in zip(points, points[1:]))):
-        raise ValueError("report checkpoints must increase strictly to the limit")
-    return SurveyReport(limit, k_max, tuple(rows))

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fermat_oracle_is_carmichael
+from conftest import fermat_oracle_is_carmichael, is_radimichael
 from radimichael.arith import euler_phi, factorize
 from radimichael.classify import (
     NumberClass,
     classify,
     is_carmichael,
     is_k_lehmer,
-    is_radimichael,
     lehmer_index,
     lehmer_index_from_phi,
 )

@@ -101,8 +101,12 @@ def test_classify_prime_and_unit(capsys):
 
 
 def test_classify_bad_input(capsys):
-    assert run_cli(capsys, "classify", "0")[0] == 2
-    assert run_cli(capsys, "classify", str(2**70))[0] == 2
+    # the command has no range check of its own: classify() and factorize
+    # refuse these
+    for n in ("0", "-5", str(2**64), str(2**70)):
+        code, out, err = run_cli(capsys, "classify", n)
+        assert (code, out) == (2, ""), n
+        assert err.startswith("error: ") and "Traceback" not in err, n
     with pytest.raises(SystemExit) as err:
         main(["classify", "pineapple"])
     assert err.value.code == 2
@@ -257,6 +261,45 @@ def test_theorem2_refuses_selections_that_need_exponent_zero(capsys):
     code, out, err = run_cli(capsys, "theorem2", "--a", "2", "--k", "18",
                              "--s", "16", "--b", "0", "--n-max", "10")
     assert code == 2 and out == "" and "exceeds" in err
+
+
+def test_a_theorem2_diagnostic_is_reported_once(monkeypatch, caplog):
+    # The search aims one index too high, so every index-3 product whose
+    # sufficient condition held becomes a diagnostic. Each must reach the
+    # CLI's stderr as one "# diagnostic" line, with no logged copy (logging's
+    # last-resort handler, which pytest replaces in-process, would print one
+    # more bare line), and be logged once when no list takes it.
+    code = textwrap.dedent("""
+        import sys
+        from radimichael import construct
+        from radimichael.cli import main
+        search = construct._search
+        construct._search = lambda spec, subsets, workers, target, out: search(
+            spec, subsets, workers, target + 1, out)
+        sys.exit(main(["theorem2", "--a", "2", "--k", "3", "--s", "6",
+                       "--b", "12", "--n-max", "20"]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_cli_env(), timeout=120)
+    search = construct._search
+    monkeypatch.setattr(construct, "_search",
+                        lambda spec, subsets, workers, target, out: search(
+                            spec, subsets, workers, target + 1, out))
+    diagnostics = []
+    assert construct.theorem2_search(2, 3, 6, range(1, 21), b=12,
+                                     diagnostics=diagnostics) == []
+    assert len(diagnostics) == 5
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert proc.stderr.splitlines() == [
+        "# diagnostic (sufficient condition held, index=3): "
+        + certificate_to_line(cert) for cert in diagnostics] + [
+        "# theorem2: no certificates found in n range [1, 20]; "
+        "an empty window is not an error"]
+    assert not caplog.records
+    assert construct.theorem2_search(2, 3, 6, range(1, 21), b=12) == []
+    assert [record.getMessage() for record in caplog.records] == [
+        f"sufficient condition held but index=3 != 4 for N={cert.N}"
+        for cert in diagnostics]
 
 
 def test_streams_are_deterministic(capsys):

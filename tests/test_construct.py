@@ -9,7 +9,8 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
-from radimichael.arith import U64_LIMIT, factorize, radical
+from conftest import radical
+from radimichael.arith import U64_LIMIT, factorize
 from radimichael import construct
 from radimichael.classify import is_carmichael, lehmer_index
 from radimichael.construct import (

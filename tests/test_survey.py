@@ -1,6 +1,5 @@
 """Sieve correctness, survey counts, rendering, and worker determinism."""
 
-import json
 import os
 import random
 import subprocess
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_json_lines_equal_csv, sieve_window_counts
 import radimichael
 import radimichael.survey as survey_module
 import radimichael.workers as workers_module
@@ -29,7 +29,6 @@ from radimichael.survey import (
     _memory_charge,
     build_spf,
     default_checkpoints,
-    report_parse,
     report_write,
     survey,
 )
@@ -212,6 +211,24 @@ def test_survey_1e8_row_equals_the_full_sieve_survey():
            "12429,13909,4773,7561,6995")
     csv = report_write(survey(10**8), "csv").decode()
     assert csv.splitlines()[-1] == row
+
+
+def test_survey_rows_equal_the_window_sieve_oracle():
+    # every column at seeded checkpoints, against a segmented sieve that
+    # factors each n; the checkpoints 561, 41041 and 1909001 are Carmichael
+    # numbers, where a bucket off by one shows
+    limit = 2 * 10**6 + 11
+    checkpoints = sorted({561, 41041, 1909001, limit,
+                          *random.Random(27).sample(range(1, limit), 16)})
+    expected, total, lo = [], np.zeros(6 + DEFAULT_K_MAX, dtype=np.int64), 0
+    for cp in checkpoints:
+        total += sieve_window_counts(lo, cp, DEFAULT_K_MAX)
+        comp, carm, radi, *lehmer = total.tolist()
+        expected.append(CheckpointRow(cp, comp, carm, radi, radi - carm,
+                                      tuple(lehmer[:DEFAULT_K_MAX]),
+                                      *lehmer[DEFAULT_K_MAX:]))
+        lo = cp
+    assert survey(limit, checkpoints=checkpoints).rows == tuple(expected)
 
 
 def test_survey_row_invariants():
@@ -502,8 +519,7 @@ def test_report_write_deterministic_and_formats():
 
 def test_json_lines_round_trip():
     for limit in (1, 10, 100, 5000):
-        report = survey(limit)
-        assert report_parse(report_write(report, "json-lines")) == report
+        assert_json_lines_equal_csv(survey(limit))
 
 
 def test_table_format_alignment():
@@ -512,57 +528,3 @@ def test_table_format_alignment():
     assert lines[0].split() == report_write(survey(100), "csv").decode() \
         .splitlines()[0].split(",")
     assert len({len(line) for line in lines}) == 1  # fixed-width rows
-
-
-def test_report_parse_is_strict():
-    good = report_write(survey(100, k_max=2), "json-lines").decode().splitlines()
-    head, row = good[0], json.loads(good[-1])
-
-    def parse(*lines):
-        return report_parse("\n".join(lines).encode())
-
-    assert parse(*good) == survey(100, k_max=2)
-    assert parse(head, json.dumps(row)).rows[0].checkpoint == 100  # row is valid
-    bad_rows = [
-        {**row, "radimichael": 4.7},            # float
-        {**row, "composites": "74"},            # numeric string
-        {**row, "carmichael": False},           # bool
-        {k: v for k, v in row.items() if k != "L2"},  # missing column
-        {**row, "L3": 0},                        # unknown column
-        {**row, "checkpoint": 500},              # above the limit
-        {**row, "radimichael_not_carmichael": 3},  # not radimichael - carmichael
-        {**row, "composites": -1},               # negative count
-        {**row, "carmichael": -1, "radimichael_not_carmichael": 5},
-        {**row, "L1": row["L2"] + 1},             # L1..Lk decrease in k
-        {**row, "L2": row["radimichael"] + 1},    # Lk above radimichael
-        {**row, "L2": 10**6},
-        {**row, "omega2_radimichael": row["omega2_radimichael"] + 5},  # omega sum
-    ]
-    for bad in bad_rows:
-        with pytest.raises(ValueError):
-            parse(head, json.dumps(bad))
-    row10 = json.loads(good[1])
-    assert row10["checkpoint"] == 10
-    bad_orders = [
-        [row, row10, row],                       # descending, then the limit
-        [row10, row10, row],                     # repeated checkpoint
-        [{**row10, "checkpoint": 0}, row],       # below 1
-        [row10],                                 # stops short of the limit
-    ]
-    # the counts of the two checkpoints swapped: each row is valid alone,
-    # but every count that grows from 10 to 100 now falls
-    assert row10["radimichael"] < row["radimichael"]
-    bad_orders.append([{**row, "checkpoint": 10}, {**row10, "checkpoint": 100}])
-    for rows in bad_orders:
-        with pytest.raises(ValueError):
-            parse(head, *map(json.dumps, rows))
-    for bad_head in ('{"limit":"10","k_max":2}', '{"limit":100,"k_max":2.0}',
-                     '{"limit":100,"k_max":true}', '{"limit":100}',
-                     '{"limit":100,"k_max":2,"extra":1}',
-                     '{"limit":100,"k_max":0}', '{"limit":0,"k_max":2}',
-                     f'{{"limit":100,"k_max":{K_MAX_LIMIT + 1}}}',
-                     "[100,2]", "not json"):
-        with pytest.raises(ValueError):
-            parse(bad_head)
-    with pytest.raises(ValueError):
-        parse("")
