@@ -71,7 +71,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_certificates(certs, diagnostics, args, label: str) -> int:
+def _emit_certificates(certs, args, label: str) -> int:
     """Write each certificate as the search yields it, then the summary."""
     stream, owned = _open_output(args.output)
     try:
@@ -81,10 +81,6 @@ def _emit_certificates(certs, diagnostics, args, label: str) -> int:
         certs.close()  # a failed write stops the search and its workers
         if owned:
             stream.close()
-    for cert in diagnostics:
-        print(f"# diagnostic (sufficient condition held, index="
-              f"{cert.lehmer_index}): {construct.certificate_to_line(cert)}",
-              file=sys.stderr)
     if count == 0:
         print(f"# {label}: no certificates found in n range "
               f"[{args.n_min}, {args.n_max}]; an empty window is not an error",
@@ -100,17 +96,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                                n_min=args.n_min, n_max=args.n_max)
     certs = construct.stream_radimichael(spec, all_subsets=args.all_subsets,
                                          workers=args.workers)
-    return _emit_certificates(certs, (), args, "construct")
+    return _emit_certificates(certs, args, "construct")
 
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_min > args.n_max:
         raise ValueError(f"empty n range [{args.n_min}, {args.n_max}]")
-    diagnostics: list = []
     certs = construct.stream_theorem2(
         args.a, args.k, args.s, range(args.n_min, args.n_max + 1),
-        b=args.b, workers=args.workers, diagnostics=diagnostics)
-    return _emit_certificates(certs, diagnostics, args, "theorem2")
+        b=args.b, workers=args.workers)
+    return _emit_certificates(certs, args, "theorem2")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

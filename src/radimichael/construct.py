@@ -101,7 +101,8 @@ class RadimichaelCertificate:
     which equals rad(phi(N)) and divides N-1. The witness pair shows
     N mod (a^{l_2} * n) = p_1 != 1, so p_2 - 1 cannot divide N - 1 and
     Korselt's criterion fails. sufficient_condition_held records whether
-    sum(l_i - b) < b, the shortcut that alone forces index <= m+1.
+    sum(l_i - b) < b; with l_1 >= b, as in every search's window, the index
+    is then m+1, the least any selection has (see stream_theorem2).
 
     probable_prime_flag is exactly "some component is at or above 2^64".
     Such components are proved prime by Pocklington's theorem, so the flag
@@ -282,16 +283,13 @@ def _certified(spec: TupleSpec, n: int, all_subsets: bool,
     """Scan n and certify its products of m primes: the m smallest,
     or with all_subsets every size-m selection. With a `target` index only
     the selections whose product has that index, computed from phi(N) and
-    N-1, or that satisfy the sufficient condition sum(l_i - b) < b are
-    certified."""
+    N-1, are certified."""
     primes = dict(scan_tuple(spec, n))
     if len(primes) < spec.m:
         return []
     subsets = combinations(primes, spec.m) if all_subsets else [tuple(primes)[:spec.m]]
     if target is not None:
         def on_target(subset: tuple[int, ...]) -> bool:
-            if sum(l - spec.b for l in subset) < spec.b:
-                return True
             chosen = [primes[l] for l in subset]
             return lehmer_index_from_phi(prod(p - 1 for p in chosen),
                                          prod(chosen) - 1) == target
@@ -299,34 +297,18 @@ def _certified(spec: TupleSpec, n: int, all_subsets: bool,
     return [build_radimichael(spec, n, subset) for subset in subsets]
 
 
-def _search(spec: TupleSpec, all_subsets: bool, workers: int, target: int | None,
-            diagnostics: list[RadimichaelCertificate] | None
+def _search(spec: TupleSpec, all_subsets: bool, workers: int, target: int | None
             ) -> Generator[RadimichaelCertificate, None, None]:
     """_certified's certificates for each n of spec's range, in n order for
     any worker count: unit u of U takes every U-th n from n_min + u, so
-    taking the units' pieces in turn visits n in order.
-
-    With a `target` index only certificates of that index are yielded; the
-    others, which only the sufficient condition let through, go to
-    `diagnostics`, or are logged when it is None, so each is reported once.
-    Closing this stops the search's workers.
-    """
+    taking the units' pieces in turn visits n in order. Closing this stops
+    the search's workers."""
     def work(unit: int, units: int) -> Iterator[list[RadimichaelCertificate]]:
         return (_certified(spec, n, all_subsets, target)
                 for n in range(spec.n_min + unit, spec.n_max + 1, units))
     pieces = fork_map(work, min(workers, spec.n_max - spec.n_min + 1))
     try:
-        for cert in chain.from_iterable(pieces):
-            if target is None or cert.lehmer_index == target:
-                yield cert
-            elif cert.sufficient_condition_held:
-                if diagnostics is not None:
-                    diagnostics.append(cert)
-                else:
-                    import logging  # imported only on this unexpected path
-                    logging.getLogger(__name__).warning(
-                        "sufficient condition held but index=%s != %s for N=%s",
-                        cert.lehmer_index, target, cert.N)
+        yield from chain.from_iterable(pieces)
     finally:
         pieces.close()
 
@@ -344,7 +326,7 @@ def stream_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
     the generator stops the search and its workers.
     """
     check_workers(workers)
-    return _search(spec, all_subsets, workers, None, None)
+    return _search(spec, all_subsets, workers, None)
 
 
 def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
@@ -354,45 +336,44 @@ def search_radimichael(spec: TupleSpec, *, all_subsets: bool = False,
 
 
 def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
-                    workers: int = 1,
-                    diagnostics: list[RadimichaelCertificate] | None = None,
-                    ) -> Generator[RadimichaelCertificate, None, None]:
+                    workers: int = 1) -> Generator[RadimichaelCertificate, None, None]:
     """Hunt members of L_k \\ L_{k-1} with exactly k-1 prime factors,
     yielding each n's certificates once that n and every n before it are
     done.
 
     Uses m = k-1 and the window (max(b, 1), b+s): exponents start at 1, so
-    at b = 0 the window has s slots, otherwise s+1. The exact index of every
-    size-m selection of primes per n is computed from phi(N) and N-1 first,
-    and only products of index k, or with the sufficient condition
-    sum(l_i - b) < b held, are certified; certificates of index k are
-    yielded. Certificates where the sufficient condition held but the
-    index came out different are appended to `diagnostics`, or logged as
-    warnings when it is None, never silently dropped. k = 2 is rejected:
-    no product of a single tuple prime can land in L_2 \\ L_1, and
-    semiprimes never do. `n_range` must have step 1. The parameters are
-    checked on the call, before any search or fork; closing the generator
-    stops the search and its workers.
+    at b = 0 the window has s slots, otherwise s+1. Of every size-m
+    selection of primes per n, only the products whose exact index,
+    computed from phi(N) and N-1, is k are certified and yielded.
+
+    No selection has index below k. Take a prime q | a, v = v_q(a) >= 1 and
+    w = v_q(n); phi(N) = a^(sum l_i) * n^m has v_q = v*sum(l_i) + m*w. N-1 is
+    the sum over nonempty S of prod_{i in S} a^(l_i) * n, whose term
+    a^(l_1) * n has v_q = v*l_1 + w and every other term more (a larger l_i
+    or two factors), so v_q(N-1) = v*l_1 + w. As sum(l_i) > m*l_1, phi
+    does not divide (N-1)^m: the index is at least m+1 = k.
+
+    k = 2 is rejected: no product of a single tuple prime can land in
+    L_2 \\ L_1, and semiprimes never do. `n_range` must have step 1. The
+    parameters are checked on the call, before any search or fork; closing
+    the generator stops the search and its workers.
     """
     check_workers(workers)
     if k < 3:
-        raise ValueError("theorem2_search requires k >= 3")
+        raise ValueError("theorem2 requires k >= 3")
     if n_range.step != 1:
         raise ValueError(f"n_range needs step 1, got {n_range.step}")
     if len(n_range) == 0:
         return (cert for cert in ())  # a generator, closable like the others
     spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0], n_max=n_range[-1],
                      window=(max(b, 1), b + s))
-    return _search(spec, True, workers, k, diagnostics)
+    return _search(spec, True, workers, k)
 
 
 def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
-                    workers: int = 1,
-                    diagnostics: list[RadimichaelCertificate] | None = None,
-                    ) -> list[RadimichaelCertificate]:
+                    workers: int = 1) -> list[RadimichaelCertificate]:
     """stream_theorem2's certificates as a list."""
-    return list(stream_theorem2(a, k, s, n_range, b=b, workers=workers,
-                                diagnostics=diagnostics))
+    return list(stream_theorem2(a, k, s, n_range, b=b, workers=workers))
 
 
 # ---------------------------------------------------------------------------

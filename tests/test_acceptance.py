@@ -191,20 +191,23 @@ def test_criterion_6_theorem2_mode(capsys):
             assert not is_k_lehmer(cert.N, k - 1, f)
             if cert.sufficient_condition_held:
                 assert cert.lehmer_index <= k
-    # a shifted-window run where the recorded sufficient condition can hold
-    from radimichael.construct import theorem2_search
-    diagnostics = []
-    shifted = theorem2_search(2, 3, 6, range(1, 400), b=12,
-                              diagnostics=diagnostics)
-    held = [c for c in shifted + diagnostics if c.sufficient_condition_held]
-    assert held, "expected certificates with the sufficient condition held"
-    assert all(c.lehmer_index is not None and c.lehmer_index <= 3 for c in held)
+    # a shifted-window run where the recorded sufficient condition can hold:
+    # every size-(k-1) selection that holds it has index exactly k, and the
+    # run emits each one
+    from radimichael.construct import TupleSpec, search_radimichael, theorem2_search
+    shifted = theorem2_search(2, 3, 6, range(1, 400), b=12)
+    spec = TupleSpec(a=2, b=12, s=6, m=2, n_min=1, n_max=399, window=(12, 18))
+    held = [c for c in search_radimichael(spec, all_subsets=True)
+            if c.sufficient_condition_held]
+    assert held, "expected selections with the sufficient condition held"
+    assert all(c.lehmer_index == 3 for c in held)
+    assert all(c in shifted for c in held)
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"theorem2 runs took {elapsed:.1f}s"
     _report(6, f"k=3 emits N=4369 with index 3; {len(k3_certs)} k=3 and "
                f"{len(k4_certs)} k=4 certificates all have k-1 factors and "
-               f"oracle-verified index k; condition-held certs ({len(held)}) "
-               f"all have index <= k ({elapsed:.1f} s)")
+               f"oracle-verified index k; condition-held selections ({len(held)}) "
+               f"all have index k and are emitted ({elapsed:.1f} s)")
 
 
 def test_criterion_7_survey_exactness_and_worker_identity(oracle_factorize):

@@ -32,8 +32,8 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_loads_every_submodule_but_no_fork_or_logging_machinery():
-    # multiprocessing and logging are imported where a fork or a warning
-    # happens; the benchmark tracer finds every submodule in sys.modules
+    # multiprocessing is imported where a fork happens, and nothing imports
+    # logging; the benchmark tracer finds every submodule in sys.modules
     submodules = sorted(f"radimichael.{m.name}"
                         for m in pkgutil.iter_modules(radimichael.__path__))
     code = textwrap.dedent(f"""
@@ -263,43 +263,15 @@ def test_theorem2_refuses_selections_that_need_exponent_zero(capsys):
     assert code == 2 and out == "" and "exceeds" in err
 
 
-def test_a_theorem2_diagnostic_is_reported_once(monkeypatch, caplog):
-    # The search aims one index too high, so every index-3 product whose
-    # sufficient condition held becomes a diagnostic. Each must reach the
-    # CLI's stderr as one "# diagnostic" line, with no logged copy (logging's
-    # last-resort handler, which pytest replaces in-process, would print one
-    # more bare line), and be logged once when no list takes it.
-    code = textwrap.dedent("""
-        import sys
-        from radimichael import construct
-        from radimichael.cli import main
-        search = construct._search
-        construct._search = lambda spec, subsets, workers, target, out: search(
-            spec, subsets, workers, target + 1, out)
-        sys.exit(main(["theorem2", "--a", "2", "--k", "3", "--s", "6",
-                       "--b", "12", "--n-max", "20"]))
-    """)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=_cli_env(), timeout=120)
-    search = construct._search
-    monkeypatch.setattr(construct, "_search",
-                        lambda spec, subsets, workers, target, out: search(
-                            spec, subsets, workers, target + 1, out))
-    diagnostics = []
-    assert construct.theorem2_search(2, 3, 6, range(1, 21), b=12,
-                                     diagnostics=diagnostics) == []
-    assert len(diagnostics) == 5
-    assert (proc.returncode, proc.stdout) == (0, "")
-    assert proc.stderr.splitlines() == [
-        "# diagnostic (sufficient condition held, index=3): "
-        + certificate_to_line(cert) for cert in diagnostics] + [
-        "# theorem2: no certificates found in n range [1, 20]; "
-        "an empty window is not an error"]
-    assert not caplog.records
-    assert construct.theorem2_search(2, 3, 6, range(1, 21), b=12) == []
-    assert [record.getMessage() for record in caplog.records] == [
-        f"sufficient condition held but index=3 != 4 for N={cert.N}"
-        for cert in diagnostics]
+def test_theorem2_stderr_is_the_summary_line_only(capsys):
+    # b = 12: every record holds the sufficient condition, and none adds a
+    # line to stderr
+    code, out, err = run_cli(capsys, "theorem2", "--a", "2", "--k", "3", "--s", "6",
+                             "--b", "12", "--n-max", "400")
+    assert code == 0 and len(out.splitlines()) == 143
+    assert all(certificate_from_line(line).sufficient_condition_held
+               for line in out.splitlines())
+    assert err == "# theorem2: 143 certificates from n in [1, 400]\n"
 
 
 def test_streams_are_deterministic(capsys):

@@ -8,6 +8,8 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import radical
 from radimichael.arith import U64_LIMIT, factorize
@@ -342,29 +344,39 @@ def test_theorem2_k4_emits_verified_certificates():
         assert verify_certificate(cert)
 
 
-def test_theorem2_sufficient_condition_bounds_index():
-    # b = m*s style run: window (12, 18), condition sum(l-b) < b can hold
-    diagnostics = []
-    certs = theorem2_search(2, 3, 6, range(1, 400), b=12,
-                            diagnostics=diagnostics)
-    held = [c for c in certs + diagnostics if c.sufficient_condition_held]
-    assert held, "expected at least one certificate with the condition held"
-    for cert in held:
-        assert cert.lehmer_index is not None and cert.lehmer_index <= 3
-    # diagnostics are exactly the held-but-off-target certificates
-    for cert in diagnostics:
-        assert cert.sufficient_condition_held and cert.lehmer_index != 3
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(a=st.integers(2, 30), n=st.integers(1, 10**4), b=st.integers(0, 40),
+       slack=st.integers(0, 3), gaps=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_no_selection_has_index_below_m_plus_1(a, n, b, slack, gaps):
+    # stream_theorem2's bound: for any a >= 2, n >= 1 and m >= 2 strictly
+    # increasing exponents >= 1, phi(N) does not divide (N-1)^m; no
+    # component need be prime. With l_1 >= b and sum(l_i - b) < b, phi(N)
+    # divides (N-1)^(m+1), so such a selection has index exactly m+1
+    exponents = [max(b + slack, 1)]
+    for gap in gaps:
+        exponents.append(exponents[-1] + gap)
+    m = len(exponents)
+    components = [a**l * n + 1 for l in exponents]
+    phi, big_n = prod(p - 1 for p in components), prod(components)
+    assert pow(big_n - 1, m, phi) != 0
+    if sum(l - b for l in exponents) < b:
+        assert pow(big_n - 1, m + 1, phi) == 0
 
 
-def _certify_everything_oracle(a, k, s, n_range, b, workers):
-    """theorem2 by certifying every size-(k-1) selection, then filtering."""
+def _certify_everything(a, k, s, n_range, b, workers):
+    """Every size-(k-1) selection of theorem2's window, certified."""
     spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0],
                      n_max=n_range[-1], window=(max(b, 1), b + s))
-    certs = search_radimichael(spec, all_subsets=True, workers=workers)
-    emitted = [c for c in certs if c.lehmer_index == k]
-    held = [c for c in certs
-            if c.lehmer_index != k and c.sufficient_condition_held]
-    return emitted, held
+    return search_radimichael(spec, all_subsets=True, workers=workers)
+
+
+def test_theorem2_sufficient_condition_bounds_index():
+    # b = 12: window (12, 18), where sum(l_i - b) < b can hold and caps the
+    # index at 3, the least any selection has
+    held = [c for c in _certify_everything(2, 3, 6, range(1, 400), 12, 1)
+            if c.sufficient_condition_held]
+    assert held, "expected at least one selection with the condition held"
+    assert all(cert.lehmer_index == 3 for cert in held)
 
 
 THEOREM2_RUNS = [
@@ -378,27 +390,29 @@ THEOREM2_RUNS = [
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("args, b", THEOREM2_RUNS)
 def test_theorem2_matches_certify_everything_oracle(args, b, workers):
-    diagnostics = []
-    emitted = theorem2_search(*args, b=b, workers=workers,
-                              diagnostics=diagnostics)
-    assert (emitted, diagnostics) == _certify_everything_oracle(*args, b, workers)
+    k = args[1]
+    certs = _certify_everything(*args, b, workers)
+    assert theorem2_search(*args, b=b, workers=workers) == [
+        c for c in certs if c.lehmer_index == k]
+    # no selection holds the sufficient condition off index k
+    assert [c for c in certs
+            if c.sufficient_condition_held and c.lehmer_index != k] == []
 
 
-def test_theorem2_certifies_only_emitted_and_diagnostic_products(monkeypatch):
+def test_theorem2_certifies_only_emitted_products(monkeypatch):
     built = []
     real_build = construct.build_radimichael
 
     def counting_build(*args, **kwargs):
-        built.append(args)
-        return real_build(*args, **kwargs)
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(construct, "build_radimichael", counting_build)
     for args, b in THEOREM2_RUNS:
         built.clear()
-        diagnostics = []
-        emitted = theorem2_search(*args, b=b, diagnostics=diagnostics)
+        emitted = theorem2_search(*args, b=b)
         assert emitted
-        assert len(built) == len(emitted) + len(diagnostics)
+        assert built == emitted
 
 
 # ---------------------------------------------------------------------------
