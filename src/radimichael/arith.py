@@ -226,8 +226,8 @@ def factorize(n: int) -> Factorization:
     Trial division by SMALL_PRIMES, then Brent rho for a surviving cofactor
     of TRIAL_LIMIT**2 or more. Values at or above 2**64 raise ValueError.
     """
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"factorize requires an int n >= 1, got {n!r}")
     if n >= U64_LIMIT:
         raise ValueError(f"{n} >= 2**64; factorize only handles 64-bit inputs")
     if n == 1:

@@ -37,9 +37,10 @@ class CertificateViolationError(RuntimeError):
 class TupleSpec:
     """Search parameters: primes of the form a^l * n + 1 for l in `window`.
 
-    The default window (b+1, b+s) has s slots; theorem2_search passes its
-    own. Both bounds are inclusive, and exponents start at 1: at l = 0,
-    p - 1 = n is not divisible by a*n, as the certificate identities need.
+    The default window (b+1, b+s) has s slots; stream_theorem2 passes its
+    own, and verify_certificate one spanning a record's exponents. Both
+    bounds are inclusive, and exponents start at 1: at l = 0, p - 1 = n is
+    not divisible by a*n, as the certificate identities need.
     """
     a: int
     b: int
@@ -227,35 +228,21 @@ def oversize(cert: RadimichaelCertificate) -> str | None:
 def verify_certificate(cert: RadimichaelCertificate) -> bool:
     """Re-verify a certificate from scratch; False on any discrepancy.
 
-    Every field must equal the one _certificate derives from a, b, n and the
-    exponents. Then every component must be prime and kappa(N) must divide
-    N-1. The non-Carmichael witness must hold: N mod (p_2 - 1) is p_1 != 1,
-    so p_2 - 1 does not divide N - 1, which Korselt's test on the listed
+    A TupleSpec must admit the record over the window its strictly
+    increasing exponents span, so that every power and product built here
+    is within the spec's size caps. Every field must then equal the one
+    _certificate derives from a, b, n and the exponents. Then every
+    component must be prime and kappa(N) must divide N-1. The
+    non-Carmichael witness must hold: N mod (p_2 - 1) is p_1 != 1, so
+    p_2 - 1 does not divide N - 1, which Korselt's test on the listed
     primes must confirm as an independent route. Last, the Lehmer index
     must pass the big-integer divisibility oracle at k and fail it at k-1.
     """
     try:
         a, n, exponents, primes = cert.a, cert.n, cert.exponents, cert.primes
-        if a < 2 or cert.b < 0 or n < 1 or len(primes) < 2:
-            return False
-        if len(exponents) != len(primes) or exponents[0] < 1:
-            return False
+        TupleSpec(a=a, b=cert.b, s=1, m=len(exponents), n_min=n, n_max=n,
+                  window=(exponents[0], exponents[-1]))
         if any(lo >= hi for lo, hi in zip(exponents, exponents[1:])):
-            return False
-        # a^l >= 2^(l*(bits(a)-1)), so a huge exponent is refused before
-        # a^l is built
-        if any(l * (a.bit_length() - 1) >= p.bit_length()
-               for l, p in zip(exponents, primes)):
-            return False
-        # components and N are capped as a spec caps them, and a product
-        # longer than the listed N is refused before it is built: primes
-        # matched one at a time stop a forged record at its first wrong
-        # one, then each adds >= bit_length - 1 bits
-        if oversize(cert) is not None:
-            return False
-        if any(p != a**l * n + 1 for l, p in zip(exponents, primes)):
-            return False
-        if sum(p.bit_length() - 1 for p in primes) >= cert.N.bit_length():
             return False
         if cert != _certificate(a, cert.b, n, exponents):
             return False
@@ -270,7 +257,7 @@ def verify_certificate(cert: RadimichaelCertificate) -> bool:
             return False
         k = cert.lehmer_index
         return is_k_lehmer(cert.N, k, f) and not (k >= 2 and is_k_lehmer(cert.N, k - 1, f))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, IndexError):
         return False
 
 
@@ -354,15 +341,15 @@ def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
     does not divide (N-1)^m: the index is at least m+1 = k.
 
     k = 2 is rejected: no product of a single tuple prime can land in
-    L_2 \\ L_1, and semiprimes never do. `n_range` must have step 1. The
-    parameters are checked on the call, before any search or fork; closing
-    the generator stops the search and its workers.
+    L_2 \\ L_1, and semiprimes never do. `n_range` must be a range of
+    step 1. The parameters are checked on the call, before any search or
+    fork; closing the generator stops the search and its workers.
     """
     check_workers(workers)
     if k < 3:
         raise ValueError("theorem2 requires k >= 3")
-    if n_range.step != 1:
-        raise ValueError(f"n_range needs step 1, got {n_range.step}")
+    if type(n_range) is not range or n_range.step != 1:
+        raise ValueError(f"n_range needs a range of step 1, got {n_range!r}")
     if len(n_range) == 0:
         return (cert for cert in ())  # a generator, closable like the others
     spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0], n_max=n_range[-1],

@@ -482,8 +482,9 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     `workers`. No or empty `checkpoints` means default_checkpoints(limit).
     """
     check_workers(workers)
-    if type(limit) is not int or type(k_max) is not int:
-        raise ValueError("limit and k_max must be ints")
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    if any(type(v) is not int for v in (limit, k_max, budget)):
+        raise ValueError("limit, k_max and memory_budget must be ints")
     if limit < 1:
         raise ValueError("survey requires limit >= 1")
     if limit > SURVEY_LIMIT:
@@ -503,7 +504,6 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     if not checkpoints:
         return SurveyReport(limit, k_max, ())
 
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     if (charge := _memory_charge(limit, workers)) > budget:
         raise MemoryBudgetError(f"tables plus scratch need {charge} bytes, "
                                 f"budget is {budget}")

@@ -212,6 +212,10 @@ def test_factorize_rejects_bad_input():
         factorize(U64_LIMIT)
     with pytest.raises(ValueError, match=r"2\*\*64"):
         factorize(U64_LIMIT + 12345)
+    # only ints: a float would be factored into a float "prime", a bool as 1
+    for bad in (12.0, True, np.int64(12)):
+        with pytest.raises(ValueError, match="int"):
+            factorize(bad)
 
 
 def test_factorize_matches_trial_division():

@@ -200,6 +200,8 @@ def test_classify_examples():
     assert classify(1).category == "unit"
     with pytest.raises(ValueError):
         classify(0)
+    with pytest.raises(ValueError, match="int"):
+        classify(561.0)
 
 
 def test_classify_category_consistency():

@@ -332,6 +332,10 @@ def test_theorem2_refuses_a_stepped_range():
         theorem2_search(2, 3, 10, range(1, 60, 2))
     with pytest.raises(ValueError, match="step 1"):
         theorem2_search(2, 3, 10, range(59, 0, -1))
+    # only a range: a list, tuple or None has no step to check
+    for bad in ([1, 2, 3], (1, 60), None):
+        with pytest.raises(ValueError, match="step 1"):
+            theorem2_search(2, 3, 10, bad)
 
 
 def test_theorem2_k4_emits_verified_certificates():
@@ -511,6 +515,21 @@ def test_verify_refuses_a_product_past_the_cap_before_building_it(monkeypatch):
     # a listed prime that is not a^l * n + 1 stops the check before the rest
     assert not verify_certificate(
         replace(cert, n=2**10**6, exponents=exponents, primes=primes))
+    assert built == []
+
+
+def test_verify_fails_a_record_no_spec_admits_before_building_it(monkeypatch):
+    # N has 2,070 bits, but a spec with 7 components of up to 2,048 bits
+    # could reach past the N cap, so no search emits this record
+    exponents = (1, 2, 3, 4, 5, 6, 2047)
+    cert = construct._certificate(2, 0, 1, exponents)
+    assert cert.N.bit_length() == 2070
+    assert construct.oversize(cert) is None
+    assert 7 * construct.MAX_COMPONENT_BITS > construct.MAX_CERTIFICATE_BITS
+    built = []
+    monkeypatch.setattr(construct, "_certificate", lambda *args: built.append(args))
+    assert not verify_certificate(cert)
+    assert not verify_certificate(replace(cert, exponents=()))
     assert built == []
 
 

@@ -262,6 +262,10 @@ def test_survey_custom_checkpoints_and_validation():
     for limit, k_max in ((100, True), (100, 3.0), (100.0, 3), (np.int64(100), 3), (True, 3)):
         with pytest.raises(ValueError, match="ints"):
             survey(limit, k_max)
+    # and for memory_budget: neither a string nor a bool is a byte count
+    for budget in ("1000", True, 2.0**40):
+        with pytest.raises(ValueError, match="ints"):
+            survey(100, memory_budget=budget)
     with pytest.raises(ValueError):
         survey(0)
     with pytest.raises(ValueError):
