@@ -8,19 +8,37 @@ limits exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
-from . import construct
-from .classify import classify
-from .survey import (
-    DEFAULT_K_MAX,
-    REPORT_FORMATS,
-    MemoryBudgetError,
-    report_write,
-    survey,
-)
-from .workers import MAX_WORKERS
+# numpy and the submodules allocate most of the process's objects, and most
+# of those live until exit, so no collection runs while they load. The
+# young generation's count still grows meanwhile; re-enabled as it stands,
+# the collector would walk the whole import heap at the next allocation.
+# Freezing and at once unfreezing resets that count and files the heap in
+# the oldest generation, unless a caller has frozen objects of its own that
+# an unfreeze would release. The collector is left on or off as found.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from . import construct
+    from .classify import classify
+    from .survey import (
+        DEFAULT_K_MAX,
+        REPORT_FORMATS,
+        MemoryBudgetError,
+        report_write,
+        survey,
+    )
+    from .workers import MAX_WORKERS
+finally:
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
+    if _collecting:
+        gc.enable()
+    del _collecting
 
 MEMORY_BUDGET_ENV = "RADIMICHAEL_MEMORY_BUDGET"
 
@@ -52,14 +70,28 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _memory_budget() -> int | None:
+    """The byte budget set in the environment; unset or empty means none."""
+    text = os.environ.get(MEMORY_BUDGET_ENV)
+    if not text:
+        return None
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{MEMORY_BUDGET_ENV} must be a non-negative "
+                         f"integer byte count, got {text!r}")
+    return budget
+
+
 def _cmd_survey(args: argparse.Namespace) -> int:
-    budget = os.environ.get(MEMORY_BUDGET_ENV)
     report = survey(
         args.limit,
         args.k_max,
         workers=args.workers,
         checkpoints=args.checkpoint,
-        memory_budget=int(budget) if budget else None,
+        memory_budget=_memory_budget(),
     )
     data = report_write(report, args.format)
     if args.output is None or args.output == "-":
@@ -183,8 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; with no argv, as the process entry on sys.argv.
+
+    The process entry freezes the heap it has built so far: nearly every
+    object imported lives until exit, so no later collection, nor the final
+    ones at exit, need walk it. Called with argv, in a caller's process,
+    nothing is frozen: that would keep the caller's garbage until it exits.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if argv is None:
+        gc.freeze()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

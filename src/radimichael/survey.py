@@ -485,6 +485,8 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     if any(type(v) is not int for v in (limit, k_max, budget)):
         raise ValueError("limit, k_max and memory_budget must be ints")
+    if budget < 0:
+        raise ValueError(f"memory_budget must be >= 0 bytes, got {budget}")
     if limit < 1:
         raise ValueError("survey requires limit >= 1")
     if limit > SURVEY_LIMIT:

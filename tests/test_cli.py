@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, output determinism."""
 
+import gc
 import io
 import json
 import os
@@ -73,6 +74,66 @@ def test_cli_import_starts_no_blas_thread_and_keeps_a_set_thread_count():
 
     assert variable_and_threads() == ["1", "1"]
     assert variable_and_threads(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_cli_import_restores_the_collector_and_freezes_nothing():
+    # the collector pauses while numpy and the submodules load, then is put
+    # back as it was found; only the process entry freezes, and objects a
+    # caller froze before the import stay frozen
+    code = textwrap.dedent("""
+        import gc, json, sys
+        if sys.argv[1] == "disabled":
+            gc.disable()
+        if sys.argv[1] == "frozen":
+            gc.freeze()
+        frozen = gc.get_freeze_count()
+        import radimichael.cli
+        print(json.dumps([gc.isenabled(), gc.get_freeze_count() - frozen,
+                          frozen > 0]))
+    """)
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+
+    def state_after_import(start):
+        return json.loads(subprocess.run(
+            [sys.executable, "-c", code, start], capture_output=True, text=True,
+            check=True, timeout=120, env={**os.environ, "PYTHONPATH": src}).stdout)
+
+    assert state_after_import("enabled") == [True, 0, False]
+    assert state_after_import("disabled") == [False, 0, False]
+    assert state_after_import("frozen") == [True, 0, True]
+
+
+def test_in_process_main_leaves_the_freeze_count_alone(capsys):
+    before = gc.get_freeze_count()
+    code, out, _ = run_cli(capsys, "classify", "561")
+    assert code == 0 and "carmichael=true" in out
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_runs_its_command_on_a_frozen_heap():
+    # run as __main__, as `python -m radimichael.cli` does; the command sees
+    # the freeze count through the classify function it calls
+    code = textwrap.dedent("""
+        import gc, runpy, sys
+        import radimichael.classify as classify_module
+        inner = classify_module.classify
+
+        def classify(n):
+            print("freeze count", gc.get_freeze_count())
+            return inner(n)
+
+        classify_module.classify = classify
+        sys.argv = ["radimichael", "classify", "561"]
+        runpy.run_module("radimichael.cli", run_name="__main__", alter_sys=True)
+    """)
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    counted, result = proc.stdout.splitlines()
+    assert int(counted.removeprefix("freeze count ")) > 0
+    assert result.startswith("561: composite") and "carmichael=true" in result
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +256,16 @@ def test_survey_memory_budget_env(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "survey", "--limit", "1000000")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("budget", ["2GB", "-5", "1e9", " "])
+def test_survey_refuses_a_memory_budget_that_is_no_byte_count(capsys, monkeypatch, budget):
+    # a bad value is a bad parameter (exit 2), not a survey too big (exit 3)
+    monkeypatch.setenv("RADIMICHAEL_MEMORY_BUDGET", budget)
+    code, out, err = run_cli(capsys, "survey", "--limit", "1000000")
+    assert code == 2 and out == ""
+    assert err == ("error: RADIMICHAEL_MEMORY_BUDGET must be a non-negative "
+                   f"integer byte count, got {budget!r}\n")
 
 
 # ---------------------------------------------------------------------------

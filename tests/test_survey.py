@@ -266,6 +266,9 @@ def test_survey_custom_checkpoints_and_validation():
     for budget in ("1000", True, 2.0**40):
         with pytest.raises(ValueError, match="ints"):
             survey(100, memory_budget=budget)
+    # and a negative budget is a bad parameter, not a survey too big
+    with pytest.raises(ValueError, match="memory_budget must be >= 0"):
+        survey(100, memory_budget=-1)
     with pytest.raises(ValueError):
         survey(0)
     with pytest.raises(ValueError):
