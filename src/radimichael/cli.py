@@ -133,7 +133,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_min > args.n_max:
-        raise ValueError(f"empty n range [{args.n_min}, {args.n_max}]")
+        raise ValueError(f"need 1 <= n_min <= n_max, got {args.n_min}, {args.n_max}")
     certs = construct.stream_theorem2(
         args.a, args.k, args.s, range(args.n_min, args.n_max + 1),
         b=args.b, workers=args.workers)

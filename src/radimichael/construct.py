@@ -10,7 +10,7 @@ index from scratch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, combinations
 from math import gcd, prod
 from typing import Generator, Iterable, Iterator, TextIO
@@ -70,7 +70,7 @@ class TupleSpec:
         if self.m > hi - lo + 1:
             raise ValueError(f"m={self.m} exceeds the {hi - lo + 1}-slot window")
         if self.n_min < 1 or self.n_min > self.n_max:
-            raise ValueError("need 1 <= n_min <= n_max")
+            raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}, {self.n_max}")
         bits = _component_bits(self.a, hi, self.n_max)
         if bits > MAX_COMPONENT_BITS:
             raise ValueError(f"largest component {self.a}^{hi} * {self.n_max} + 1 "
@@ -78,6 +78,20 @@ class TupleSpec:
         if self.m * bits > MAX_CERTIFICATE_BITS:
             raise ValueError(f"{self.m} components of {bits} bits can exceed the "
                              f"{MAX_CERTIFICATE_BITS}-bit (4,300 decimal digit) N cap")
+
+    def admit(self, n: int, exponents: tuple[int, ...] | None = None) -> None:
+        """Refuse with ValueError any request but an int n in [n_min, n_max]
+        with, if given, m strictly increasing int exponents inside window:
+        the one rule that scan_tuple, build_radimichael and
+        verify_certificate each apply before a power is built."""
+        if type(n) is not int or not self.n_min <= n <= self.n_max:
+            raise ValueError(f"need an int n in [{self.n_min}, {self.n_max}], got {n!r}")
+        lo, hi = self.window
+        if exponents is not None and (
+                len(exponents) != self.m or any(type(l) is not int for l in exponents)
+                or any(l >= r for l, r in zip((lo - 1, *exponents), (*exponents, hi + 1)))):
+            raise ValueError(f"need {self.m} strictly increasing int exponents in "
+                             f"[{lo}, {hi}], got {exponents!r}")
 
 
 def _component_bits(a: int, l: int, n: int) -> int:
@@ -104,6 +118,10 @@ class RadimichaelCertificate:
     Korselt's criterion fails. sufficient_condition_held records whether
     sum(l_i - b) < b; with l_1 >= b, as in every search's window, the index
     is then m+1, the least any selection has (see stream_theorem2).
+
+    The fields, in order, and their annotations are the wire schema:
+    certificate_to_line writes them and certificate_from_line admits each
+    only with the JSON type its annotation names.
 
     probable_prime_flag is exactly "some component is at or above 2^64".
     Such components are proved prime by Pocklington's theorem, so the flag
@@ -133,23 +151,22 @@ def _rad_primes(a: int, n: int) -> tuple[int, ...]:
     return tuple(sorted({p for m in (a, n) for p, _ in factorize(m).factors}))
 
 
+def _pocklington_primes(a: int, n: int, largest: int) -> tuple[int, ...]:
+    """The primes of a*n if `largest`, the greatest component a^l * n + 1,
+    is at or above 2**64, else (): components grow with l, so those below
+    2**64 need no primes of p - 1, and the rest are proved prime from them."""
+    return _rad_primes(a, n) if largest >= U64_LIMIT else ()
+
+
 def scan_tuple(spec: TupleSpec, n: int) -> tuple[tuple[int, int], ...]:
     """The (l, a^l * n + 1) pairs, ascending, for exactly the window
-    exponents l with a^l * n + 1 prime.
-
-    A component at or above 2**64 is proved prime from the primes of a and
-    n, which are found at the first such component."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if not spec.n_min <= n <= spec.n_max:
-        raise ValueError(f"n={n} outside [{spec.n_min}, {spec.n_max}]")
+    exponents l with a^l * n + 1 prime. spec must admit n."""
+    spec.admit(n)
     lo, hi = spec.window
     found = []
-    pm1_primes: tuple[int, ...] = ()
+    pm1_primes = _pocklington_primes(spec.a, n, spec.a**hi * n + 1)
     value = spec.a**lo * n
     for l in range(lo, hi + 1):
-        if value + 1 >= U64_LIMIT and not pm1_primes:
-            pm1_primes = _rad_primes(spec.a, n)
         if prime_verdict(value + 1, pm1_primes):
             found.append((l, value + 1))
         value *= spec.a
@@ -190,23 +207,14 @@ def build_radimichael(spec: TupleSpec, n: int,
                       exponents: tuple[int, ...]) -> RadimichaelCertificate:
     """Certify the product of the primes a^l * n + 1 for the given exponents.
 
-    The request must be an int n in [spec.n_min, spec.n_max] and spec.m
-    strictly increasing int exponents inside spec.window; any other is
-    refused with ValueError before a power is built. The certificate is
+    spec must admit the request (TupleSpec.admit); any other is refused
+    with ValueError before a power is built. The certificate is
     re-verified before being returned: a composite component, or any other
     failure, raises CertificateViolationError rather than emitting a bad
     record. Only the self-check tests primality.
     """
     exponents = tuple(exponents)
-    if type(n) is not int or any(type(l) is not int for l in exponents):
-        raise ValueError(f"n and the exponents must be ints, got {n!r}, {exponents!r}")
-    lo, hi = spec.window
-    if not spec.n_min <= n <= spec.n_max:
-        raise ValueError(f"n={n} outside [{spec.n_min}, {spec.n_max}]")
-    if (len(exponents) != spec.m or not lo <= exponents[0] <= exponents[-1] <= hi
-            or any(l >= r for l, r in zip(exponents, exponents[1:]))):
-        raise ValueError(f"need {spec.m} strictly increasing exponents in "
-                         f"[{lo}, {hi}], got {exponents}")
+    spec.admit(n, exponents)
     cert = _certificate(spec.a, spec.b, n, exponents)
     if not verify_certificate(cert):
         raise CertificateViolationError(f"self-check failed for N={cert.N}")
@@ -228,27 +236,23 @@ def oversize(cert: RadimichaelCertificate) -> str | None:
 def verify_certificate(cert: RadimichaelCertificate) -> bool:
     """Re-verify a certificate from scratch; False on any discrepancy.
 
-    A TupleSpec must admit the record over the window its strictly
-    increasing exponents span, so that every power and product built here
-    is within the spec's size caps. Every field must then equal the one
-    _certificate derives from a, b, n and the exponents. Then every
-    component must be prime and kappa(N) must divide N-1. The
-    non-Carmichael witness must hold: N mod (p_2 - 1) is p_1 != 1, so
-    p_2 - 1 does not divide N - 1, which Korselt's test on the listed
-    primes must confirm as an independent route. Last, the Lehmer index
-    must pass the big-integer divisibility oracle at k and fail it at k-1.
+    A TupleSpec must admit the record over the window its exponents span,
+    so that every power and product built here is within the spec's size
+    caps. Every field must then equal the one _certificate derives from a,
+    b, n and the exponents. Then every component must be prime and
+    kappa(N) must divide N-1. The non-Carmichael witness must hold:
+    N mod (p_2 - 1) is p_1 != 1, so p_2 - 1 does not divide N - 1, which
+    Korselt's test on the listed primes must confirm as an independent
+    route. Last, the Lehmer index must pass the big-integer divisibility
+    oracle at k and fail it at k-1.
     """
     try:
         a, n, exponents, primes = cert.a, cert.n, cert.exponents, cert.primes
         TupleSpec(a=a, b=cert.b, s=1, m=len(exponents), n_min=n, n_max=n,
-                  window=(exponents[0], exponents[-1]))
-        if any(lo >= hi for lo, hi in zip(exponents, exponents[1:])):
-            return False
+                  window=(exponents[0], exponents[-1])).admit(n, exponents)
         if cert != _certificate(a, cert.b, n, exponents):
             return False
-        # p - 1 = a^l * n, so the primes of a and n prove a component at or
-        # above 2**64; they are found only when one is
-        pm1_primes = _rad_primes(a, n) if max(primes) >= U64_LIMIT else ()
+        pm1_primes = _pocklington_primes(a, n, primes[-1])
         if not all(prime_verdict(p, pm1_primes) for p in primes):
             return False
         f = Factorization(cert.N, tuple((p, 1) for p in primes))
@@ -367,31 +371,24 @@ def theorem2_search(a: int, k: int, s: int, n_range: range, *, b: int = 0,
 # certificate wire format: one JSON object per line, integers in decimal
 # ---------------------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    return type(value) is int  # JSON integers only: bools and floats fail
-
-
-def _is_ints(value) -> bool:
-    return type(value) is list and all(map(_is_int, value))
-
-
-def _is_bool(value) -> bool:
-    return type(value) is bool
-
-
-def _is_index(value) -> bool:
-    return value is None or _is_int(value)
-
-
-# wire fields in serialization order, each with the only JSON type it takes
-_CERT_FIELDS = {
-    "a": _is_int, "b": _is_int, "n": _is_int,
-    "exponents": _is_ints, "primes": _is_ints,
-    "N": _is_int, "kappa_N": _is_int, "lehmer_index": _is_index,
-    "non_carmichael_modulus": _is_int, "non_carmichael_residue": _is_int,
-    "sufficient_condition_held": _is_bool, "probable_prime_flag": _is_bool,
-    "gcd_a_n": _is_int,
+# each field annotation with the only JSON values it takes: JSON integers
+# only, so that bools and floats fail an int
+_WIRE_TYPES = {
+    "int": lambda v: type(v) is int,
+    "tuple[int, ...]": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "int | None": lambda v: v is None or type(v) is int,
+    "bool": lambda v: type(v) is bool,
 }
+
+# wire fields in serialization order, each with its JSON type test
+_CERT_FIELDS = {f.name: _WIRE_TYPES[f.type] for f in fields(RadimichaelCertificate)}
+
+
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        raise ValueError("certificate record repeats a field")
+    return record
 
 
 def certificate_to_line(cert: RadimichaelCertificate) -> str:
@@ -403,11 +400,11 @@ def certificate_from_line(line: str) -> RadimichaelCertificate:
     """Parse one serialized certificate; malformed input raises ValueError.
 
     Only what certificate_to_line writes is accepted: exactly the wire
-    fields, each with its own JSON type (no numeric strings, floats, or
-    0/1 for booleans).
+    fields, each once and with its own JSON type (no numeric strings,
+    floats, or 0/1 for booleans).
     """
     try:
-        record = json.loads(line)
+        record = json.loads(line, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a JSON record: {exc}") from exc
     if not isinstance(record, dict):
@@ -421,9 +418,8 @@ def certificate_from_line(line: str) -> RadimichaelCertificate:
     bad = [name for name, ok in _CERT_FIELDS.items() if not ok(record[name])]
     if bad:
         raise ValueError(f"certificate fields of the wrong JSON type: {bad}")
-    record["exponents"] = tuple(record["exponents"])
-    record["primes"] = tuple(record["primes"])
-    return RadimichaelCertificate(**record)
+    return RadimichaelCertificate(**{name: tuple(value) if type(value) is list else value
+                                     for name, value in record.items()})
 
 
 def write_certificates(certs: Iterable[RadimichaelCertificate],

@@ -312,6 +312,15 @@ def test_theorem2_rejects_k2(capsys):
     assert code == 2 and "k >= 3" in err
 
 
+@pytest.mark.parametrize("n_min, n_max", [(0, 5), (6, 5)])
+def test_theorem2_states_the_n_range_rule(capsys, n_min, n_max):
+    # [0, 5] is not empty: the message names the rule that refuses it
+    code, out, err = run_cli(capsys, "theorem2", "--a", "2", "--k", "3", "--s", "4",
+                             "--n-min", str(n_min), "--n-max", str(n_max))
+    assert code == 2 and out == ""
+    assert err == f"error: need 1 <= n_min <= n_max, got {n_min}, {n_max}\n"
+
+
 def test_searches_refuse_components_above_cap(capsys):
     over = str(MAX_COMPONENT_BITS)  # 2^cap * 1 + 1 has cap + 1 bits
     code, _, err = run_cli(capsys, "theorem2", "--a", "2", "--k", "3",
@@ -565,6 +574,16 @@ def test_verify_malformed_file(tmp_path, capsys):
     path.write_text("this is not a certificate\n")
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2 and "error" in err
+
+
+def test_verify_refuses_a_record_that_repeats_a_field(tmp_path, capsys):
+    # json.loads alone keeps the last "a" and the record would pass
+    path = _write_certs(capsys, tmp_path)
+    line = path.read_text().splitlines()[0]
+    path.write_text('{"a":2,' + line[1:] + "\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 1: certificate record repeats a field\n"
 
 
 def test_verify_missing_file(capsys):

@@ -3,7 +3,7 @@
 import io
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import gcd, prod
 
 import numpy as np
@@ -17,6 +17,7 @@ from radimichael import construct
 from radimichael.classify import is_carmichael, lehmer_index
 from radimichael.construct import (
     CertificateViolationError,
+    RadimichaelCertificate,
     TupleSpec,
     build_radimichael,
     certificate_from_line,
@@ -79,10 +80,12 @@ def test_scan_tuple_examples():
     # 2*31+1 = 63 and 4*31+1 = 125 are both composite
     assert scan_tuple(TupleSpec(a=2, b=0, s=2, m=2, n_min=31, n_max=31), 31) == ()
     # outside the n range, or not an int: a float n would give float
-    # components, and a bool n would pass for 1
-    for n in (11, 1.0, True, np.int64(1)):
+    # components, and a bool n would pass for 1. build refuses the same n
+    for n in (0, 11, 1.0, True, np.int64(1)):
         with pytest.raises(ValueError):
             scan_tuple(spec_2_0_4(), n)
+        with pytest.raises(ValueError):
+            build_radimichael(spec_2_0_4(), n, (1, 2))
 
 
 def test_scan_tuple_monotone_in_window():
@@ -133,27 +136,57 @@ def test_build_explicit_subset():
         build_radimichael(spec, 1, (0, 1))
 
 
+# exponents malformed in their shape alone, whatever the spec: no spec
+# admits them, so verify_certificate refuses each on a record's own spec
+MALFORMED_SHAPES = {
+    "zero": (0, 2),         # p - 1 = n is not divisible by a*n
+    "repeated": (2, 2),
+    "decreasing": (4, 2),
+    "bool": (True, 2),      # a bool exponent would be written as true
+    "float": (1, 2.0),
+    "numpy": (1, np.int64(2)),
+}
+
+
 @pytest.mark.parametrize("n, exponents", [
-    (1, (0, 2)),         # exponent 0: p - 1 = n is not divisible by a*n
+    (1, MALFORMED_SHAPES["zero"]),
     (1, (2, 5)),         # above the window (1, 4)
-    (1, (2, 2)),         # repeated
-    (1, (4, 2)),         # decreasing
+    (1, MALFORMED_SHAPES["repeated"]),
+    (1, MALFORMED_SHAPES["decreasing"]),
     (1, (2,)),           # a single exponent
     (1, (1, 2, 4)),      # more exponents than the spec's m = 2
     (1, ()),
     (1, (1, 10**9)),     # far above it: refused before 2^(10^9) is built
     (0, (1, 2)),         # n below the spec's range
     (11, (1, 2)),        # n above it
-    (1, (True, 2)),      # a bool exponent would be written as true
+    (1, MALFORMED_SHAPES["bool"]),
     (True, (1, 2)),      # and a bool n as well
-    (1, (1, 2.0)),       # a float exponent
-    (1, (1, np.int64(2))),  # a numpy exponent
+    (1, MALFORMED_SHAPES["float"]),
+    (1, MALFORMED_SHAPES["numpy"]),
 ])
 def test_build_refuses_a_malformed_request(n, exponents):
     start = time.perf_counter()
     with pytest.raises(ValueError):
         build_radimichael(spec_2_0_4(), n, exponents)
     assert time.perf_counter() - start < 0.5
+
+
+def test_scan_build_and_verify_share_one_request_rule(monkeypatch):
+    cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
+    admitted = []
+
+    def refuse(spec, n, exponents=None):
+        admitted.append((spec.window, n, exponents))
+        raise ValueError("refused")
+
+    monkeypatch.setattr(TupleSpec, "admit", refuse)
+    with pytest.raises(ValueError, match="refused"):
+        scan_tuple(spec_2_0_4(), 1)
+    with pytest.raises(ValueError, match="refused"):
+        build_radimichael(spec_2_0_4(), 1, [1, 2])
+    assert not verify_certificate(cert)
+    # verify asks the spec over the window the record's exponents span
+    assert admitted == [((1, 4), 1, None), ((1, 4), 1, (1, 2)), ((1, 2), 1, (1, 2))]
 
 
 def test_build_equals_every_all_subsets_certificate():
@@ -530,6 +563,8 @@ def test_verify_fails_a_record_no_spec_admits_before_building_it(monkeypatch):
     monkeypatch.setattr(construct, "_certificate", lambda *args: built.append(args))
     assert not verify_certificate(cert)
     assert not verify_certificate(replace(cert, exponents=()))
+    for exponents in MALFORMED_SHAPES.values():
+        assert not verify_certificate(replace(cert, exponents=exponents))
     assert built == []
 
 
@@ -557,6 +592,19 @@ def test_certificate_parse_rejects_malformed():
         certificate_from_line('[1, 2, 3]')
     with pytest.raises(ValueError):
         read_certificates(io.StringIO('{"a": 2}\n'))
+    # json.loads alone keeps the last of a repeated field
+    line = certificate_to_line(build_radimichael(spec_2_0_4(), 1, (1, 2)))
+    with pytest.raises(ValueError, match="repeats a field"):
+        certificate_from_line('{"a":2,' + line[1:])
+
+
+def test_certificate_line_keys_are_the_dataclass_fields_in_order():
+    line = certificate_to_line(build_radimichael(spec_2_0_4(), 1, (1, 2)))
+    assert list(json.loads(line)) == [f.name for f in fields(RadimichaelCertificate)]
+
+
+# for each field annotation, a JSON value of another type
+WRONG_WIRE_TYPE = {"int": 3.0, "tuple[int, ...]": 3, "int | None": "3", "bool": None}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -567,6 +615,7 @@ def test_certificate_parse_rejects_malformed():
     ("unknown_field", 1),
     ("gcd_a_n", True),
     ("primes", [3, "5"]),
+    *((f.name, WRONG_WIRE_TYPE[f.type]) for f in fields(RadimichaelCertificate)),
 ])
 def test_certificate_parse_accepts_only_wire_types(field, value):
     cert = build_radimichael(spec_2_0_4(), 1, (1, 2))
