@@ -31,7 +31,7 @@ try:
         report_write,
         survey,
     )
-    from .workers import MAX_WORKERS
+    from .workers import check_workers
 finally:
     if not gc.get_freeze_count():
         gc.freeze()
@@ -44,10 +44,11 @@ MEMORY_BUDGET_ENV = "RADIMICHAEL_MEMORY_BUDGET"
 
 
 def _workers(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(
-            f"must lie in [1, {MAX_WORKERS}], got {value}")
+    try:
+        value = int(text)
+        check_workers(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -132,8 +133,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem2(args: argparse.Namespace) -> int:
-    if args.n_min < 1 or args.n_min > args.n_max:
-        raise ValueError(f"need 1 <= n_min <= n_max, got {args.n_min}, {args.n_max}")
     certs = construct.stream_theorem2(
         args.a, args.k, args.s, range(args.n_min, args.n_max + 1),
         b=args.b, workers=args.workers)

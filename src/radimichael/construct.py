@@ -346,18 +346,18 @@ def stream_theorem2(a: int, k: int, s: int, n_range: range, *, b: int = 0,
 
     k = 2 is rejected: no product of a single tuple prime can land in
     L_2 \\ L_1, and semiprimes never do. `n_range` must be a range of
-    step 1. The parameters are checked on the call, before any search or
-    fork; closing the generator stops the search and its workers.
+    step 1 whose ends n_min = start and n_max = stop - 1 obey construct's
+    rule, 1 <= n_min <= n_max < 2**64: an empty range is refused. The
+    parameters are checked on the call, before any search or fork; closing
+    the generator stops the search and its workers.
     """
     check_workers(workers)
     if k < 3:
         raise ValueError("theorem2 requires k >= 3")
     if type(n_range) is not range or n_range.step != 1:
         raise ValueError(f"n_range needs a range of step 1, got {n_range!r}")
-    if len(n_range) == 0:
-        return (cert for cert in ())  # a generator, closable like the others
-    spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range[0], n_max=n_range[-1],
-                     window=(max(b, 1), b + s))
+    spec = TupleSpec(a=a, b=b, s=s, m=k - 1, n_min=n_range.start,
+                     n_max=n_range.stop - 1, window=(max(b, 1), b + s))
     return _search(spec, True, workers, k)
 
 

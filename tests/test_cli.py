@@ -226,12 +226,16 @@ def test_workers_above_cap_refused_before_any_command_runs(capsys, monkeypatch):
                 ["construct", "--a", "2", "--s", "4", "--m", "2", "--n-max", "10"],
                 ["theorem2", "--a", "2", "--k", "3", "--s", "4", "--n-max", "10"])
     for argv in commands:
-        for workers in (str(MAX_WORKERS + 1), "100000", "0"):
+        for workers in (str(MAX_WORKERS + 1), "100000", "0", "abc"):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--workers", workers])
             captured = capsys.readouterr()
             assert exc.value.code == 2 and captured.out == ""
-            assert "--workers" in captured.err
+            # argparse names the option; the bound's wording is check_workers'
+            assert "argument --workers: " in captured.err
+            assert "_workers" not in captured.err
+            if workers != "abc":
+                assert f"workers must lie in [1, {MAX_WORKERS}]" in captured.err
 
 
 def test_survey_rejects_bad_segment_size(capsys):
@@ -312,13 +316,29 @@ def test_theorem2_rejects_k2(capsys):
     assert code == 2 and "k >= 3" in err
 
 
-@pytest.mark.parametrize("n_min, n_max", [(0, 5), (6, 5)])
+@pytest.mark.parametrize("n_min, n_max", [(0, 5), (6, 5), (1, 2**64)])
 def test_theorem2_states_the_n_range_rule(capsys, n_min, n_max):
-    # [0, 5] is not empty: the message names the rule that refuses it
-    code, out, err = run_cli(capsys, "theorem2", "--a", "2", "--k", "3", "--s", "4",
-                             "--n-min", str(n_min), "--n-max", str(n_max))
-    assert code == 2 and out == ""
-    assert err == f"error: need 1 <= n_min <= n_max, got {n_min}, {n_max}\n"
+    # construct and theorem2 share TupleSpec's one rule, 1 <= n_min <= n_max
+    # < 2**64; [0, 5] is not empty: the message names the rule that refuses it
+    expected = ("error: need a < 2**64 and n_max < 2**64\n" if n_max >= 2**64 else
+                f"error: need 1 <= n_min <= n_max, got {n_min}, {n_max}\n")
+    for command in (["construct", "--m", "2"], ["theorem2", "--k", "3"]):
+        code, out, err = run_cli(capsys, *command, "--a", "2", "--s", "4",
+                                 "--n-min", str(n_min), "--n-max", str(n_max))
+        assert (code, out, err) == (2, "", expected), command
+
+
+def test_theorem2_refuses_n_max_from_2_64_without_a_traceback():
+    # a range of 2**63 or more values has no len(); the process itself must
+    # end in exit 2 with TupleSpec's message, not in a traceback
+    src = str(Path(radimichael.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "radimichael.cli", "theorem2", "--a", "2", "--k", "3",
+         "--s", "4", "--n-max", str(2**64)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: need a < 2**64 and n_max < 2**64\n"
 
 
 def test_searches_refuse_components_above_cap(capsys):

@@ -3,6 +3,7 @@
 import io
 import json
 import time
+import types
 from dataclasses import fields, replace
 from math import gcd, prod
 
@@ -25,6 +26,7 @@ from radimichael.construct import (
     read_certificates,
     scan_tuple,
     search_radimichael,
+    stream_theorem2,
     theorem2_search,
     verify_certificate,
     write_certificates,
@@ -355,7 +357,20 @@ def test_theorem2_k3_emits_known_products():
 def test_theorem2_rejects_small_k_and_empty_range():
     with pytest.raises(ValueError):
         theorem2_search(2, 2, 10, range(1, 100))
-    assert theorem2_search(2, 3, 10, range(5, 5)) == []
+    # an empty range breaks TupleSpec's n-range rule, as it does for construct
+    with pytest.raises(ValueError, match="need 1 <= n_min <= n_max"):
+        theorem2_search(2, 3, 10, range(5, 5))
+
+
+def test_theorem2_reads_only_the_ends_of_a_range_past_2_63(monkeypatch):
+    # len(range(1, 2**63 + 1)) overflows; the range's ends alone are needed
+    def no_fork_map(work, workers):
+        raise AssertionError("a worker started")
+
+    monkeypatch.setattr(construct, "fork_map", no_fork_map)
+    certs = stream_theorem2(2, 3, 4, range(1, 2**63 + 1), workers=2)
+    assert isinstance(certs, types.GeneratorType)
+    certs.close()
 
 
 def test_theorem2_refuses_a_stepped_range():
