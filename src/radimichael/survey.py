@@ -15,12 +15,15 @@ survey finds every such n in two parts from that table:
   in the table since d+1 <= limit / 3.
 - p <= r. A depth-first search over descending primes carries the product
   P of the primes taken and L = lcm rad(q-1) over them, pruning a prime q
-  that divides L or whose rad(q-1) meets P. The rest of n is a cofactor
-  c = P^-1 (mod L); once that progression is short, it is walked instead
-  of recursing, and a c above r is divided down into the table by the
-  primes below min(P). The search runs on numpy batches of nodes: the
-  inverses come from a vectorized extended Euclid, and every term is
-  checked against per-c arrays of the table.
+  that divides L. The rest of n is a cofactor c = P^-1 (mod L). c = 1 is
+  decided as a node is made, and a node with limit // P < 3 can hold no
+  other c, so it is not kept. Once the progression has no more terms than
+  the node has children, the node is a leaf and its terms are walked
+  instead. Leaves are held until a full batch has gathered. A leaf with a
+  small limit // P tests its few admissible cofactors directly; the others
+  take their first terms from one vectorized extended Euclid over the
+  batch. A term above r is divided down into the table by the primes below
+  min(P), and every term is checked against per-c arrays of the table.
 
 Each radimichael number is recorded as (n, phi(n), lambda(n), omega(n)),
 all known from its primes, and the records are tallied in batches: n is
@@ -61,14 +64,15 @@ K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
 
 # Memory charge, from peak RSS (VmHWM) growth measured on Linux (Python 3.11,
-# numpy 2.4) with the package's bytecode cached; compiling it at import
-# instead frees heap that the first call reuses, which hides up to 1 MB. A
-# survey grows 1.5 MB at 10**6, 2.0 MB at 10**7 and 3.3 MB at 10**8:
-# about 1.4 MB on a first call whatever the limit, mostly the first touch of
-# the numpy code the batched search runs, plus 140-200 bytes per integer of
-# [0, isqrt(limit)] in each process for the spf sieve, the factor table, the
-# plan arrays and the search; the prime counts, taken afterwards in the
-# calling process, stay under that peak.
+# numpy 2.4) with numpy and the package imported and their bytecode cached;
+# compiling the package at import instead frees heap that the first call
+# reuses, which hides up to 1 MB. A survey grows 0.8 MB at 10**6, 1.3 MB at
+# 10**7 and 2.6 MB at 10**8: about 0.8 MB on a first call whatever the
+# limit, mostly the first touch of the numpy code the batched search runs
+# and its scratch, plus about 180 bytes per integer of [0, isqrt(limit)] in
+# each process for the spf sieve, the factor table, the plan arrays and the
+# search; the prime counts, taken afterwards in the calling process, stay
+# under that peak.
 _FIRST_CALL_BYTES = 2 << 20
 _PLAN_BYTES_PER_ROOT_ENTRY = 256
 
@@ -143,15 +147,25 @@ def default_checkpoints(limit: int) -> list[int]:
 # rows _HIST.. hold the index histogram, k = 1..k_max exact, then "> k_max"
 _CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 5
 
-# the search walks a cofactor progression of at most this many terms
-# rather than recursing; 64 was fastest at 10**7 and within 20% at 10**8
-_WALK_TERMS = 64
+# a leaf with limit // P below this tests its admissible cofactors (five
+# below 15) directly, with no inverse. That keeps 2,014 of the 10,600
+# leaves at 10**7 from _inverse, and 69,806 of 1,056,973 at 10**10; 3 (no
+# such leaf), 15 and 25 timed within 5% of one another at 10**7 and 10**9
+_SHORT = 15
 
-# the most child nodes or progression terms the search handles at once, and
-# the records a work unit gathers before it tallies them. 2048 was 12% faster
-# at 10**8, but its scratch put the CLI's peak RSS at 10**7 above that of the
-# per-number search it replaced; 4096 grew 1.85 MB at 10**7, the whole charge
+# the most child nodes the search makes at once, and the records a work unit
+# gathers before it tallies them. 2048 and 4096 took the search at 10**7
+# from 10.0 to 9.3 and 8.7 ms, but raised a work unit's traced peak from
+# 1.2 to 1.4 and 1.7 MB
 _BATCH = 1024
+
+# the leaves the search holds before it walks them together, and the most
+# progression terms it walks at once. 1024, 2048, 4096 and 8192 took the
+# search 13.4, 11.0, 10.0 and 10.0 ms at 10**7, and 0.43, 0.33, 0.28 and
+# 0.23 s at 10**9; a work unit's traced peak at 10**7 was 0.72 (that of the
+# p > root part), 0.77, 1.2 and 2.0 MB, and the CLI's peak RSS at 10**7
+# read 0.5 MiB above 1024's at 4096 and 1.1 MiB at 8192
+_WALK_BATCH = 4096
 
 # the most c values the p > root part takes at once. Taking all 1,008 c
 # values of 10**7 at once adds 1.1 MB to a survey's peak RSS, and all 3,112
@@ -315,11 +329,11 @@ def _inverse(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return s0 % m
 
 
-def _spread(sizes: np.ndarray, done: int) -> tuple[np.ndarray, np.ndarray]:
-    """Items done.. of nodes holding sizes[i] items each, at most _BATCH of
+def _spread(sizes: np.ndarray, done: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Items done.. of nodes holding sizes[i] items each, at most batch of
     them: the node of each item and its index within the node."""
     ends = np.cumsum(sizes)
-    item = np.arange(done, min(done + _BATCH, int(ends[-1])))
+    item = np.arange(done, min(done + batch, int(ends[-1])))
     node = np.searchsorted(ends, item, side="right")
     return node, item - (ends - sizes)[node]
 
@@ -328,14 +342,22 @@ def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
     """Records of every radimichael n = P*c over leaf nodes, whose
     progressions c = P^-1 (mod L), 1 < c <= limit // P, are short. A term c
     is kept if it is squarefree, every prime of it lies below least and
-    rad(q-1) | n-1 for each of them."""
+    rad(q-1) | n-1 for each of them. A leaf with limit // P below _SHORT
+    takes no inverse: its few cofactors are tested directly."""
     limit, root, primes = plan.limit, plan.root, plan.primes
     rad = plan.cofactors[0]  # rad(q-1) at each odd prime q
-    c0 = _inverse(nodes[0], nodes[1])
-    c0 += np.where(c0 == 1, nodes[1], 0)  # _small_prime_part takes c = 1
-    terms = np.maximum((limit // nodes[0] - c0) // nodes[1] + 1, 0)
-    for done in range(0, int(terms.sum()), _BATCH):
-        node, k = _spread(terms, done)
+    few = limit // nodes[0] < min(_SHORT, root + 1)
+    if few.any():
+        yield _short_leaves(plan, nodes[:, few])
+    walked = np.flatnonzero(~few)
+    P, L = nodes[:2, walked]
+    c0 = _inverse(P, L)
+    c0 += np.where(c0 == 1, L, 0)  # c = 1 was decided as the node was made
+    terms = np.maximum((limit // P - c0) // L + 1, 0)
+    live = np.flatnonzero(terms)  # most leaves hold no term
+    nodes, c0, terms = nodes[:, walked[live]], c0[live], terms[live]
+    for done in range(0, int(terms.sum()), _WALK_BATCH):
+        node, k = _spread(terms, done, _WALK_BATCH)
         rest = c0[node] + nodes[1, node] * k  # the term c, then what is left of it
         nm1 = nodes[0, node] * rest - 1
         least = nodes[5, node]
@@ -372,6 +394,46 @@ def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
                         omega + omegac + homega])
 
 
+def _short_leaves(plan: _Plan, nodes: np.ndarray) -> np.ndarray:
+    """Records of every radimichael n = P*c over leaf nodes whose limit // P
+    is below min(_SHORT, root + 1). Each admissible cofactor c <= limit // P
+    (one whose column of the table is non-zero) with P*c = 1 (mod L) is kept
+    under _walk's rules."""
+    cs = np.flatnonzero(plan.cofactors[0, 3:min(_SHORT, plan.root + 1)]) + 3
+    P, L, phi, lam, omega, least = nodes[:, :, None]
+    Lc, top, phic, lamc, omegac = plan.cofactors[:, cs]
+    n = P * cs  # below limit * cs[-1]
+    ok = ((cs <= plan.limit // P) & (top < least) & (n % L == 1)
+          & ((n - 1) % Lc == 0))
+    i, j = np.nonzero(ok)
+    return np.stack([n[i, j], phi[i, 0] * phic[j], np.lcm(lam[i, 0], lamc[j]),
+                     omega[i, 0] + omegac[j]])
+
+
+def _children(plan: _Plan, parents: np.ndarray, q: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Each parent column extended by the prime q beside it (q < least and
+    P*q <= limit): the records of n = P*q, and the children that can hold a
+    cofactor c > 1, as nodes."""
+    limit = plan.limit
+    P, L, phi, lam, omega, _ = parents
+    r = plan.cofactors[0, q]  # rad(q-1)
+    Lg = L // np.gcd(L, r)
+    # q | L would put q in both n and n-1 (no prime of P divides rad(q-1), as
+    # each exceeds q). n = 1 (mod lcm(L, r)) and 1 < n <= limit, so
+    # lcm(L, r) = L // g * r < limit, with g = gcd(L, r): exactly when
+    # L // g <= (limit - 1) // r. (On the nodes the search makes, L | lambda(P),
+    # so lcm(L, r) | lambda(P*q) < P*q <= limit and this never drops a child.)
+    keep = np.flatnonzero((L % q != 0) & (Lg <= (limit - 1) // r))
+    P, q = P[keep] * q[keep], q[keep]  # P*q <= limit by the choice of q
+    # L // g * r <= limit - 1 for every kept child, so it stays in int64
+    nodes = np.stack([P, Lg[keep] * r[keep], phi[keep] * (q - 1),
+                      np.lcm(lam[keep], q - 1), omega[keep] + 1, q])
+    # c = 1: n = P*q. A child with limit // (P*q) < 3 holds no cofactor c > 1,
+    # as c is odd
+    return nodes[[0, 2, 3, 4]][:, P % nodes[1] == 1], nodes[:, P <= limit // 3]
+
+
 def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
     """Records of every radimichael n whose largest prime is in tops (all
     <= root).
@@ -379,45 +441,43 @@ def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
     n = P*c with L = lcm rad(q-1) over q | P dividing n-1, so c = P^-1
     (mod L), and every prime of c lies below least = min(P). A node is a
     column (P, L, phi(P), lambda(P), omega(P), least). The search takes a
-    batch of nodes at a time, depth first: c = 1 is decided for every node,
-    a leaf walks the rest of its progression, and the stack holds each
-    depth's interior nodes with a cursor into their children, of which it
-    makes at most _BATCH at a time.
+    batch of nodes at a time, depth first, and the stack holds each depth's
+    interior nodes with a cursor into their children, of which it makes at
+    most _BATCH at a time; c = 1 is decided as a child is made. A node whose
+    progression has no more terms than it has children is a leaf. Leaves
+    are held until _WALK_BATCH of them have gathered, or the search ends,
+    and are then walked together.
     """
     limit, primes = plan.limit, plan.primes
     rad = plan.cofactors[0]  # rad(q-1) at each odd prime q
     nodes = np.stack([tops, rad[tops], tops - 1, tops - 1, np.ones_like(tops), tops])
-    stack = []
+    stack, held, holding = [], [], 0
     while True:
-        P, L, phi, lam, omega, least = nodes
-        single = (omega > 1) & (P % L == 1)  # c = 1: n = P, if P is not prime
-        if single.any():
-            yield np.stack([P, phi, lam, omega])[:, single]
-        leaf = limit // P // L <= _WALK_TERMS
+        room = limit // nodes[0]
+        # a child takes one more prime q < least with P*q <= limit. A node
+        # with no children holds no cofactor c > 1, as each prime of c would
+        # make one
+        sizes = np.searchsorted(primes, np.minimum(nodes[5] - 1, room), side="right")
+        leaf = room // nodes[1] <= sizes
         if leaf.any():
-            yield from _walk(plan, nodes[:, leaf])
-        nodes, P, least = nodes[:, ~leaf], P[~leaf], least[~leaf]
-        # a child takes one more prime q < least with P*q <= limit
-        sizes = np.searchsorted(primes, np.minimum(least - 1, limit // P), side="right")
-        stack.append([nodes, sizes, 0])
+            held.append(nodes[:, leaf])
+            holding += held[-1].shape[1]
+            if holding >= _WALK_BATCH:
+                leaves, held, holding = np.hstack(held), [], 0
+                yield from _walk(plan, leaves)
+        stack.append([nodes[:, ~leaf], sizes[~leaf], 0])
         while stack and stack[-1][2] == stack[-1][1].sum():
             stack.pop()
         if not stack:
-            return
+            break
         parents, sizes, done = stack[-1]
-        node, k = _spread(sizes, done)
+        node, k = _spread(sizes, done, _BATCH)
         stack[-1][2] = done + len(node)
-        parents, q = parents[:, node], primes[k]
-        # np.lcm divides by the gcd first, so no step of it exceeds
-        # L*rad(q-1) < limit*root, which stays in int64 up to about 4*10**12
-        L2 = np.lcm(parents[1], rad[q])
-        # q | L or a prime of P dividing rad(q-1) would divide both n and
-        # n-1; n = 1 (mod L2) and 1 < n <= limit
-        keep = ((parents[1] % q != 0) & (np.gcd(rad[q], parents[0]) == 1)
-                & (L2 < limit))
-        (P, _, phi, lam, omega, _), q = parents[:, keep], q[keep]
-        nodes = np.stack([P * q, L2[keep], phi * (q - 1), np.lcm(lam, q - 1),
-                          omega + 1, q])
+        records, nodes = _children(plan, parents[:, node], primes[k])
+        if records.size:
+            yield records
+    if held:
+        yield from _walk(plan, np.hstack(held))
 
 
 def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -426,19 +486,18 @@ def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
 
     S(v) starts at v - 1. Each prime p <= r in turn applies S(v) -= S(v // p)
     - S(p - 1) to every v >= p*p, dropping the composites whose least prime
-    is p. Every read sees the values from before p: large, which reads
-    small, goes first, and each right-hand side is computed before it is
-    assigned.
+    is p; S(p - 1) is then pi(p - 1), the number of primes before p. Every
+    read sees the values from before p: large, which reads small, goes
+    first, and each right-hand side is computed before it is assigned.
     """
     r = isqrt(x)
     small = np.arange(-1, r, dtype=np.int64)
     small[0] = 0
     large = np.zeros(r + 1, dtype=np.int64)
     large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
-    for p in range(2, r + 1):
-        below = small[p - 1]
-        if small[p] == below:  # p has a smaller prime factor
-            continue
+    spf = build_spf(r)
+    primes = np.flatnonzero(spf == np.arange(r + 1))[2:]  # past 0 and 1
+    for below, p in enumerate(primes.tolist()):
         # v = x // i for i <= x // p^2; v // p = x // (i*p) is large[i*p]
         # while i*p <= r, else small[x // (i*p)]
         top = min(r, x // (p * p))

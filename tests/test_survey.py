@@ -353,10 +353,80 @@ def test_both_parts_enumerate_exactly_the_naive_radimichael_numbers(monkeypatch,
         assert large == [r[:4] for r in below if r[4] > plan.root], limit
         assert sorted(large + small) == [r[:4] for r in below], limit
         if limit > 1500:
-            # the same records when the c values come 7 at a time
+            # the same records when the c values come 7 at a time, and when
+            # the search makes 7 children at a time and walks its leaves 7 at
+            # a time: most walks then start on a part-filled batch
             with monkeypatch.context() as patch:
                 patch.setattr(survey_module, "_CHUNK", 7)
+                patch.setattr(survey_module, "_BATCH", 7)
+                patch.setattr(survey_module, "_WALK_BATCH", 7)
                 assert sorted_records(survey_module._large_prime_part(plan, cs)) == large
+                assert sorted_records(
+                    survey_module._small_prime_part(plan, plan.primes)) == small, limit
+
+
+def test_a_leaf_below_the_short_bound_is_never_inverted(monkeypatch):
+    # a leaf with limit // P below _SHORT tests its few cofactors directly;
+    # only the other leaves, and none of those, reach _inverse
+    inverted, short = [], []
+    inverse, short_leaves = survey_module._inverse, survey_module._short_leaves
+
+    def checked_inverse(a, m):
+        inverted.append(limit // a)
+        return inverse(a, m)
+
+    def counted_short_leaves(plan, nodes):
+        short.append(plan.limit // nodes[0])
+        return short_leaves(plan, nodes)
+
+    monkeypatch.setattr(survey_module, "_inverse", checked_inverse)
+    monkeypatch.setattr(survey_module, "_short_leaves", counted_short_leaves)
+    for limit in (10**4, 54_321, 2 * 10**5, 10**6):
+        plan = survey_module._plan(limit, [limit], DEFAULT_K_MAX)
+        assert plan.root >= survey_module._SHORT
+        found = sorted_records(survey_module._small_prime_part(plan, plan.primes))
+        assert inverted and all((room >= survey_module._SHORT).all() for room in inverted)
+        inverted.clear()
+        # and the same records when every leaf takes an inverse
+        with monkeypatch.context() as patch:
+            patch.setattr(survey_module, "_SHORT", 3)
+            assert sorted_records(survey_module._small_prime_part(plan, plan.primes)) == found
+        inverted.clear()
+    short = np.concatenate(short)
+    assert short.size and short.min() >= 3 and short.max() == survey_module._SHORT - 1
+
+
+def test_a_child_is_gated_on_its_lcm_before_the_product_is_formed():
+    # past about 4.4 * 10^12, L * rad(q-1) of a node and its next prime can
+    # pass 2^63; a child is kept only where lcm(L, rad(q-1)) < limit, decided
+    # as Python ints decide it. The nodes are built by hand, with L the
+    # product of the primes up to 37 and P a prime, and every P*q <= limit / 3
+    limit = 10**13
+    L = prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    # (P, q, rad(q-1)): rad(q-1) = q-1 divides L, so lcm(L, rad) = L < limit;
+    # q = 31 divides L; rad(q-1) = 2 * 1581071 meets L in 2 only, so lcm(L,
+    # rad) is past 2^63, where an int64 lcm wraps to a negative number
+    children = [(1272827, 1272811, 1272810), (1272827, 31, 30),
+                (1000003, 3162143, 3162142)]
+    assert all(L * r > 2**63 for _, q, r in children if q > 31)
+    assert lcm(L, 3162142) > 2**63
+    assert all(P * q <= limit // 3 for P, q, _ in children)
+    plan = survey_module._plan(10**4, [10**4], DEFAULT_K_MAX)._replace(
+        limit=limit, root=isqrt(limit),
+        # only rad(q-1), row 0, is read as children are made
+        cofactors=np.zeros((1, 3162143 + 1), dtype=np.int64))
+    for _, q, r in children:
+        plan.cofactors[0, q] = r
+    parents = np.array([[P, L, P - 1, P - 1, 1, P] for P, _, _ in children],
+                       dtype=np.int64).T
+    q = np.array([q for _, q, _ in children], dtype=np.int64)
+    records, nodes = survey_module._children(plan, parents, q)
+    want = [[P * q, lcm(L, r), (P - 1) * (q - 1), lcm(P - 1, q - 1), 2, q]
+            for P, q, r in children if L % q and lcm(L, r) < limit]
+    assert [node[5] for node in want] == [1272811]
+    assert records.T.tolist() == [[n, phi, lam, omega] for n, L2, phi, lam, omega, _ in want
+                                  if n % L2 == 1]
+    assert nodes.T.tolist() == [node for node in want if limit // node[0] >= 3]
 
 
 def test_plan_tables_at_1e8_match_the_oracle_for_every_m_up_to_the_root(oracle_factorize):
