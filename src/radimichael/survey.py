@@ -19,11 +19,10 @@ survey finds every such n in two parts from that table:
   decided as a node is made, and a node with limit // P < 3 can hold no
   other c, so it is not kept. Once the progression has no more terms than
   the node has children, the node is a leaf and its terms are walked
-  instead. Leaves are held until a full batch has gathered. A leaf with a
-  small limit // P tests its few admissible cofactors directly; the others
-  take their first terms from one vectorized extended Euclid over the
-  batch. A term above r is divided down into the table by the primes below
-  min(P), and every term is checked against per-c arrays of the table.
+  instead. Leaves are held until a full batch has gathered, and take their
+  first terms from one vectorized extended Euclid over the batch. A term
+  above r is divided down into the table by the primes below min(P), and
+  every term is checked against per-c arrays of the table.
 
 Each radimichael number is recorded as (n, phi(n), lambda(n), omega(n)),
 all known from its primes, and the records are tallied in batches: n is
@@ -66,10 +65,10 @@ SURVEY_LIMIT = 10**8                # desk-scale cap
 # Memory charge, from peak RSS (VmHWM) growth measured on Linux (Python 3.11,
 # numpy 2.4) with numpy and the package imported and their bytecode cached;
 # compiling the package at import instead frees heap that the first call
-# reuses, which hides up to 1 MB. A survey grows 0.8 MB at 10**6, 1.3 MB at
-# 10**7 and 2.6 MB at 10**8: about 0.8 MB on a first call whatever the
+# reuses, which hides up to 1 MB. A survey grows 0.9 MB at 10**6, 1.4 MB at
+# 10**7 and 2.4 MB at 10**8: about 0.9 MB on a first call whatever the
 # limit, mostly the first touch of the numpy code the batched search runs
-# and its scratch, plus about 180 bytes per integer of [0, isqrt(limit)] in
+# and its scratch, plus 170-230 bytes per integer of [0, isqrt(limit)] in
 # each process for the spf sieve, the factor table, the plan arrays and the
 # search; the prime counts, taken afterwards in the calling process, stay
 # under that peak.
@@ -147,24 +146,18 @@ def default_checkpoints(limit: int) -> list[int]:
 # rows _HIST.. hold the index histogram, k = 1..k_max exact, then "> k_max"
 _CARMICHAEL, _RADIMICHAEL, _OMEGA2, _HIST = 0, 1, 2, 5
 
-# a leaf with limit // P below this tests its admissible cofactors (five
-# below 15) directly, with no inverse. That keeps 2,014 of the 10,600
-# leaves at 10**7 from _inverse, and 69,806 of 1,056,973 at 10**10; 3 (no
-# such leaf), 15 and 25 timed within 5% of one another at 10**7 and 10**9
-_SHORT = 15
-
 # the most child nodes the search makes at once, and the records a work unit
 # gathers before it tallies them. 2048 and 4096 took the search at 10**7
-# from 10.0 to 9.3 and 8.7 ms, but raised a work unit's traced peak from
-# 1.2 to 1.4 and 1.7 MB
+# from 9.9 to 9.6 and 8.3 ms, but raised a work unit's traced peak from
+# 1.15 to 1.27 and 1.61 MB
 _BATCH = 1024
 
 # the leaves the search holds before it walks them together, and the most
 # progression terms it walks at once. 1024, 2048, 4096 and 8192 took the
-# search 13.4, 11.0, 10.0 and 10.0 ms at 10**7, and 0.43, 0.33, 0.28 and
-# 0.23 s at 10**9; a work unit's traced peak at 10**7 was 0.72 (that of the
-# p > root part), 0.77, 1.2 and 2.0 MB, and the CLI's peak RSS at 10**7
-# read 0.5 MiB above 1024's at 4096 and 1.1 MiB at 8192
+# search 12.8, 10.9, 9.6 and 9.3 ms at 10**7, and 0.42, 0.31, 0.26 and
+# 0.23 s at 10**9; a work unit's traced peak at 10**7 was 0.74 (that of the
+# p > root part), 0.74, 1.15 and 1.94 MB, and the CLI's peak RSS at 10**7
+# read 0.4 MiB above 1024's at 4096 and 1.2 MiB at 8192
 _WALK_BATCH = 4096
 
 # the most c values the p > root part takes at once. Taking all 1,008 c
@@ -342,20 +335,15 @@ def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
     """Records of every radimichael n = P*c over leaf nodes, whose
     progressions c = P^-1 (mod L), 1 < c <= limit // P, are short. A term c
     is kept if it is squarefree, every prime of it lies below least and
-    rad(q-1) | n-1 for each of them. A leaf with limit // P below _SHORT
-    takes no inverse: its few cofactors are tested directly."""
+    rad(q-1) | n-1 for each of them."""
     limit, root, primes = plan.limit, plan.root, plan.primes
     rad = plan.cofactors[0]  # rad(q-1) at each odd prime q
-    few = limit // nodes[0] < min(_SHORT, root + 1)
-    if few.any():
-        yield _short_leaves(plan, nodes[:, few])
-    walked = np.flatnonzero(~few)
-    P, L = nodes[:2, walked]
+    P, L = nodes[:2]
     c0 = _inverse(P, L)
     c0 += np.where(c0 == 1, L, 0)  # c = 1 was decided as the node was made
     terms = np.maximum((limit // P - c0) // L + 1, 0)
     live = np.flatnonzero(terms)  # most leaves hold no term
-    nodes, c0, terms = nodes[:, walked[live]], c0[live], terms[live]
+    nodes, c0, terms = nodes[:, live], c0[live], terms[live]
     for done in range(0, int(terms.sum()), _WALK_BATCH):
         node, k = _spread(terms, done, _WALK_BATCH)
         rest = c0[node] + nodes[1, node] * k  # the term c, then what is left of it
@@ -394,30 +382,12 @@ def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
                         omega + omegac + homega])
 
 
-def _short_leaves(plan: _Plan, nodes: np.ndarray) -> np.ndarray:
-    """Records of every radimichael n = P*c over leaf nodes whose limit // P
-    is below min(_SHORT, root + 1). Each admissible cofactor c <= limit // P
-    (one whose column of the table is non-zero) with P*c = 1 (mod L) is kept
-    under _walk's rules."""
-    cs = np.flatnonzero(plan.cofactors[0, 3:min(_SHORT, plan.root + 1)]) + 3
-    P, L, phi, lam, omega, least = nodes[:, :, None]
-    Lc, top, phic, lamc, omegac = plan.cofactors[:, cs]
-    n = P * cs  # below limit * cs[-1]
-    ok = ((cs <= plan.limit // P) & (top < least) & (n % L == 1)
-          & ((n - 1) % Lc == 0))
-    i, j = np.nonzero(ok)
-    return np.stack([n[i, j], phi[i, 0] * phic[j], np.lcm(lam[i, 0], lamc[j]),
-                     omega[i, 0] + omegac[j]])
-
-
-def _children(plan: _Plan, parents: np.ndarray, q: np.ndarray
+def _children(limit: int, parents: np.ndarray, q: np.ndarray, r: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """Each parent column extended by the prime q beside it (q < least and
-    P*q <= limit): the records of n = P*q, and the children that can hold a
-    cofactor c > 1, as nodes."""
-    limit = plan.limit
+    P*q <= limit), with r = rad(q-1): the records of n = P*q, and the
+    children that can hold a cofactor c > 1, as nodes."""
     P, L, phi, lam, omega, _ = parents
-    r = plan.cofactors[0, q]  # rad(q-1)
     Lg = L // np.gcd(L, r)
     # q | L would put q in both n and n-1 (no prime of P divides rad(q-1), as
     # each exceeds q). n = 1 (mod lcm(L, r)) and 1 < n <= limit, so
@@ -473,7 +443,8 @@ def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
         parents, sizes, done = stack[-1]
         node, k = _spread(sizes, done, _BATCH)
         stack[-1][2] = done + len(node)
-        records, nodes = _children(plan, parents[:, node], primes[k])
+        q = primes[k]
+        records, nodes = _children(limit, parents[:, node], q, rad[q])
         if records.size:
             yield records
     if held:
@@ -535,10 +506,12 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
 
     The table and enumeration state over [0, isqrt(limit)], in each of
     `workers` processes, are charged to `memory_budget` up front; the
-    search's batches hold at most _BATCH nodes, terms or records at a time,
-    and the prime counts are taken in this process. Work units are pure and
-    their integer tallies are summed, so the report is identical for any
-    `workers`. No or empty `checkpoints` means default_checkpoints(limit).
+    search makes at most _BATCH children and tallies at most _BATCH records
+    at a time, walks at most _WALK_BATCH terms at a time, and holds at most
+    _WALK_BATCH leaves plus one step's children; the prime counts are taken
+    in this process. Work units are pure and their integer tallies are
+    summed, so the report is identical for any `workers`. No or empty
+    `checkpoints` means default_checkpoints(limit).
     """
     check_workers(workers)
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget

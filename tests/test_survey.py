@@ -365,35 +365,29 @@ def test_both_parts_enumerate_exactly_the_naive_radimichael_numbers(monkeypatch,
                     survey_module._small_prime_part(plan, plan.primes)) == small, limit
 
 
-def test_a_leaf_below_the_short_bound_is_never_inverted(monkeypatch):
-    # a leaf with limit // P below _SHORT tests its few cofactors directly;
-    # only the other leaves, and none of those, reach _inverse
-    inverted, short = [], []
-    inverse, short_leaves = survey_module._inverse, survey_module._short_leaves
+def test_every_walked_leaf_can_hold_a_term_and_every_walked_node_holds_one(monkeypatch):
+    # a node with limit // P < 3 holds no cofactor c > 1, so it never becomes
+    # a leaf, and a leaf whose progression holds no term never reaches the
+    # walk loop, whose _spread calls take _WALK_BATCH terms at a time
+    rooms, sizes = [], []
+    walk, spread = survey_module._walk, survey_module._spread
 
-    def checked_inverse(a, m):
-        inverted.append(limit // a)
-        return inverse(a, m)
+    def checked_walk(plan, nodes):
+        rooms.append(plan.limit // nodes[0])
+        return walk(plan, nodes)
 
-    def counted_short_leaves(plan, nodes):
-        short.append(plan.limit // nodes[0])
-        return short_leaves(plan, nodes)
+    def checked_spread(items, done, batch):
+        if batch == survey_module._WALK_BATCH:
+            sizes.append(items)
+        return spread(items, done, batch)
 
-    monkeypatch.setattr(survey_module, "_inverse", checked_inverse)
-    monkeypatch.setattr(survey_module, "_short_leaves", counted_short_leaves)
+    monkeypatch.setattr(survey_module, "_walk", checked_walk)
+    monkeypatch.setattr(survey_module, "_spread", checked_spread)
     for limit in (10**4, 54_321, 2 * 10**5, 10**6):
         plan = survey_module._plan(limit, [limit], DEFAULT_K_MAX)
-        assert plan.root >= survey_module._SHORT
-        found = sorted_records(survey_module._small_prime_part(plan, plan.primes))
-        assert inverted and all((room >= survey_module._SHORT).all() for room in inverted)
-        inverted.clear()
-        # and the same records when every leaf takes an inverse
-        with monkeypatch.context() as patch:
-            patch.setattr(survey_module, "_SHORT", 3)
-            assert sorted_records(survey_module._small_prime_part(plan, plan.primes)) == found
-        inverted.clear()
-    short = np.concatenate(short)
-    assert short.size and short.min() >= 3 and short.max() == survey_module._SHORT - 1
+        sorted_records(survey_module._small_prime_part(plan, plan.primes))
+    rooms, sizes = np.concatenate(rooms), np.concatenate(sizes)
+    assert rooms.min() == 3 and sizes.min() >= 1
 
 
 def test_a_child_is_gated_on_its_lcm_before_the_product_is_formed():
@@ -411,16 +405,10 @@ def test_a_child_is_gated_on_its_lcm_before_the_product_is_formed():
     assert all(L * r > 2**63 for _, q, r in children if q > 31)
     assert lcm(L, 3162142) > 2**63
     assert all(P * q <= limit // 3 for P, q, _ in children)
-    plan = survey_module._plan(10**4, [10**4], DEFAULT_K_MAX)._replace(
-        limit=limit, root=isqrt(limit),
-        # only rad(q-1), row 0, is read as children are made
-        cofactors=np.zeros((1, 3162143 + 1), dtype=np.int64))
-    for _, q, r in children:
-        plan.cofactors[0, q] = r
     parents = np.array([[P, L, P - 1, P - 1, 1, P] for P, _, _ in children],
                        dtype=np.int64).T
-    q = np.array([q for _, q, _ in children], dtype=np.int64)
-    records, nodes = survey_module._children(plan, parents, q)
+    q, r = np.array([[q, r] for _, q, r in children], dtype=np.int64).T
+    records, nodes = survey_module._children(limit, parents, q, r)
     want = [[P * q, lcm(L, r), (P - 1) * (q - 1), lcm(P - 1, q - 1), 2, q]
             for P, q, r in children if L % q and lcm(L, r) < limit]
     assert [node[5] for node in want] == [1272811]
