@@ -178,8 +178,8 @@ def _certificate(a: int, b: int, n: int,
     """The certificate for a, b, n and the exponents, every field derived
     from those four values and none tested for primality.
 
-    build_radimichael and verify_certificate both compare against it, so each
-    field is computed in this one place.
+    build_radimichael derives its certificate here and verify_certificate
+    compares against it, so each field is computed in this one place.
     """
     primes = tuple(a**l * n + 1 for l in exponents)
     big_n = prod(primes)

@@ -30,10 +30,10 @@ Carmichael iff lambda(n) | n-1, and its exact Lehmer index is the number
 of steps r -> r / gcd(r, n-1) that take phi(n) to 1. The work is split
 into units (c values and top-level primes, interleaved) whose integer
 tallies are summed, so the report is identical for any worker count.
-Composites up to a checkpoint x number x - 1 - pi(x): one prime count by
-Lucy's method, in O(limit^(3/4)) time and O(isqrt(limit)) memory, gives pi
-at every limit // i, and any other checkpoint above isqrt(limit) takes a
-count of its own.
+Composites up to a checkpoint x number x - 1 - pi(x). Unit 0 counts the
+primes by Lucy's method over the table's primes, in O(limit^(3/4)) time and
+O(isqrt(limit)) memory: one count gives pi up to isqrt(limit) and at every
+limit // i, and any other checkpoint takes a count of its own.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ SURVEY_LIMIT = 10**8                # desk-scale cap
 # limit, mostly the first touch of the numpy code the batched search runs
 # and its scratch, plus 170-230 bytes per integer of [0, isqrt(limit)] in
 # each process for the spf sieve, the factor table, the plan arrays and the
-# search; the prime counts, taken afterwards in the calling process, stay
-# under that peak.
+# search; the prime counts, taken in the calling process after its unit's
+# search, stay under that peak.
 _FIRST_CALL_BYTES = 2 << 20
 _PLAN_BYTES_PER_ROOT_ENTRY = 256
 
@@ -388,16 +388,13 @@ def _children(limit: int, parents: np.ndarray, q: np.ndarray, r: np.ndarray
     P*q <= limit), with r = rad(q-1): the records of n = P*q, and the
     children that can hold a cofactor c > 1, as nodes."""
     P, L, phi, lam, omega, _ = parents
-    Lg = L // np.gcd(L, r)
     # q | L would put q in both n and n-1 (no prime of P divides rad(q-1), as
-    # each exceeds q). n = 1 (mod lcm(L, r)) and 1 < n <= limit, so
-    # lcm(L, r) = L // g * r < limit, with g = gcd(L, r): exactly when
-    # L // g <= (limit - 1) // r. (On the nodes the search makes, L | lambda(P),
-    # so lcm(L, r) | lambda(P*q) < P*q <= limit and this never drops a child.)
-    keep = np.flatnonzero((L % q != 0) & (Lg <= (limit - 1) // r))
+    # each exceeds q)
+    keep = np.flatnonzero(L % q != 0)
     P, q = P[keep] * q[keep], q[keep]  # P*q <= limit by the choice of q
-    # L // g * r <= limit - 1 for every kept child, so it stays in int64
-    nodes = np.stack([P, Lg[keep] * r[keep], phi[keep] * (q - 1),
+    # L | lambda(P), so lcm(L, r) | lambda(P*q) < P*q <= limit: np.lcm, which
+    # divides by the gcd first, stays in int64, as do phi and lambda
+    nodes = np.stack([P, np.lcm(L[keep], r[keep]), phi[keep] * (q - 1),
                       np.lcm(lam[keep], q - 1), omega[keep] + 1, q])
     # c = 1: n = P*q. A child with limit // (P*q) < 3 holds no cofactor c > 1,
     # as c is odd
@@ -451,9 +448,10 @@ def _small_prime_part(plan: _Plan, tops: np.ndarray) -> Iterator[np.ndarray]:
         yield from _walk(plan, np.hstack(held))
 
 
-def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """pi at every x // i, by Lucy's method: small[v] = pi(v) for v <= r =
-    isqrt(x), and large[i] = pi(x // i) for 1 <= i <= r.
+def _prime_counts(x: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pi at every x // i, by Lucy's method over 2 and the odd primes in
+    primes up to r = isqrt(x): small[v] = pi(v) for v <= r, and large[i] =
+    pi(x // i) for 1 <= i <= r.
 
     S(v) starts at v - 1. Each prime p <= r in turn applies S(v) -= S(v // p)
     - S(p - 1) to every v >= p*p, dropping the composites whose least prime
@@ -466,9 +464,7 @@ def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
     small[0] = 0
     large = np.zeros(r + 1, dtype=np.int64)
     large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
-    spf = build_spf(r)
-    primes = np.flatnonzero(spf == np.arange(r + 1))[2:]  # past 0 and 1
-    for below, p in enumerate(primes.tolist()):
+    for below, p in enumerate([2, *primes[primes <= r].tolist()]):
         # v = x // i for i <= x // p^2; v // p = x // (i*p) is large[i*p]
         # while i*p <= r, else small[x // (i*p)]
         top = min(r, x // (p * p))
@@ -479,6 +475,16 @@ def _prime_counts(x: int) -> tuple[np.ndarray, np.ndarray]:
         if p * p <= r:
             small[p * p:] -= small[np.arange(p * p, r + 1) // p] - below
     return small, large
+
+
+def _checkpoint_pis(plan: _Plan) -> list[int]:
+    """pi at every checkpoint: one count at the limit answers those up to
+    root and at every limit // i, and any other takes a count of its own."""
+    limit, root, primes = plan.limit, plan.root, plan.primes
+    small, large = _prime_counts(limit, primes)
+    return [int(small[x] if x <= root
+                else large[limit // x] if limit // (limit // x) == x
+                else _prime_counts(x, primes)[1][1]) for x in plan.checkpoints.tolist()]
 
 
 def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
@@ -530,11 +536,9 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
     else:
         if any(type(c) is not int for c in checkpoints):
             raise ValueError("checkpoints must be ints")
-        checkpoints = sorted(set(checkpoints))
         if any(c < 1 or c > limit for c in checkpoints):
             raise ValueError("checkpoints must lie in [1, limit]")
-        if checkpoints and checkpoints[-1] != limit:
-            checkpoints.append(limit)
+        checkpoints = sorted({*checkpoints, limit})
     if not checkpoints:
         return SurveyReport(limit, k_max, ())
 
@@ -543,18 +547,13 @@ def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
                                 f"budget is {budget}")
     plan = _plan(limit, checkpoints, k_max)
 
-    def work(unit: int, units: int) -> tuple[tuple[np.ndarray, tuple | None]]:
+    def work(unit: int, units: int) -> tuple[tuple[np.ndarray, list[int] | None]]:
         # unit 0 runs here: the prime counts are taken while workers run
         return ((_unit_counts(plan, unit, units),
-                 _prime_counts(limit) if unit == 0 else None),)
+                 _checkpoint_pis(plan) if unit == 0 else None),)
     parts = list(fork_map(work, workers))
     total = sum(counts for counts, _ in parts)
-    small, large = parts[0][1]
-    # pi at each checkpoint; one that is not limit // i needs its own count
-    pis = [small[cp] if cp <= plan.root
-           else large[limit // cp] if limit // (limit // cp) == cp
-           else _prime_counts(cp)[1][1] for cp in checkpoints]
-    composites = [cp - 1 - int(pi) for cp, pi in zip(checkpoints, pis)]
+    composites = [cp - 1 - pi for cp, pi in zip(checkpoints, parts[0][1])]
     running = total.cumsum(axis=1).tolist()  # cumulative over checkpoints
     lehmer = np.cumsum(running[_HIST:_HIST + k_max], axis=0).T.tolist()
     rows = [CheckpointRow(cp, comp, carm, radi, radi - carm, tuple(lk), o2, o3, o4)

@@ -390,31 +390,29 @@ def test_every_walked_leaf_can_hold_a_term_and_every_walked_node_holds_one(monke
     assert rooms.min() == 3 and sizes.min() >= 1
 
 
-def test_a_child_is_gated_on_its_lcm_before_the_product_is_formed():
-    # past about 4.4 * 10^12, L * rad(q-1) of a node and its next prime can
-    # pass 2^63; a child is kept only where lcm(L, rad(q-1)) < limit, decided
-    # as Python ints decide it. The nodes are built by hand, with L the
-    # product of the primes up to 37 and P a prime, and every P*q <= limit / 3
-    limit = 10**13
-    L = prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
-    # (P, q, rad(q-1)): rad(q-1) = q-1 divides L, so lcm(L, rad) = L < limit;
-    # q = 31 divides L; rad(q-1) = 2 * 1581071 meets L in 2 only, so lcm(L,
-    # rad) is past 2^63, where an int64 lcm wraps to a negative number
-    children = [(1272827, 1272811, 1272810), (1272827, 31, 30),
-                (1000003, 3162143, 3162142)]
-    assert all(L * r > 2**63 for _, q, r in children if q > 31)
-    assert lcm(L, 3162142) > 2**63
-    assert all(P * q <= limit // 3 for P, q, _ in children)
-    parents = np.array([[P, L, P - 1, P - 1, 1, P] for P, _, _ in children],
-                       dtype=np.int64).T
-    q, r = np.array([[q, r] for _, q, r in children], dtype=np.int64).T
-    records, nodes = survey_module._children(limit, parents, q, r)
-    want = [[P * q, lcm(L, r), (P - 1) * (q - 1), lcm(P - 1, q - 1), 2, q]
-            for P, q, r in children if L % q and lcm(L, r) < limit]
-    assert [node[5] for node in want] == [1272811]
-    assert records.T.tolist() == [[n, phi, lam, omega] for n, L2, phi, lam, omega, _ in want
-                                  if n % L2 == 1]
-    assert nodes.T.tolist() == [node for node in want if limit // node[0] >= 3]
+def test_every_node_of_the_search_has_its_lcm_dividing_lambda_below_the_limit(monkeypatch):
+    # L | lambda(P) at every node, so lcm(L, rad(q-1)) | lambda(P*q) < P*q <=
+    # limit: a child's L stays in int64, and no child is dropped for it
+    seen = [0, 0]
+    children = survey_module._children
+
+    def checked_children(limit, parents, q, r):
+        _, L, _, lam = parents[:4]
+        assert (lam % L == 0).all()
+        records, nodes = children(limit, parents, q, r)
+        P, L, _, lam = nodes[:4]
+        assert (lam % L == 0).all() and (lam < P).all() and (P <= limit).all()
+        seen[0] += parents.shape[1]
+        seen[1] += nodes.shape[1]
+        return records, nodes
+
+    monkeypatch.setattr(survey_module, "_children", checked_children)
+    with monkeypatch.context() as patch:
+        patch.setattr(survey_module, "_BATCH", 7)
+        patch.setattr(survey_module, "_WALK_BATCH", 7)
+        survey(10**7)
+    survey(SURVEY_LIMIT)
+    assert min(seen) > 0
 
 
 def test_plan_tables_at_1e8_match_the_oracle_for_every_m_up_to_the_root(oracle_factorize):
@@ -476,8 +474,9 @@ def bytearray_prime_counts(limit):
 
 def test_prime_counts_match_a_sieve():
     pi = bytearray_prime_counts(5000)
+    primes = survey_module._plan(5000, [5000], DEFAULT_K_MAX).primes
     for x in range(1, 5001):
-        small, large = survey_module._prime_counts(x)
+        small, large = survey_module._prime_counts(x, primes)
         root = isqrt(x)
         assert small[1:].tolist() == pi[1:root + 1], x
         assert large[1:].tolist() == [pi[x // i] for i in range(1, root + 1)], x
@@ -498,6 +497,25 @@ def test_survey_composites_match_a_bytearray_sieve_on_every_lookup_branch():
         assert len(report.rows) == len(small + large + other) + 1
         for row in report.rows:
             assert row.composites == row.checkpoint - 1 - pi[row.checkpoint]
+
+
+def test_one_sieve_per_survey(monkeypatch):
+    # the plan's sieve is the only one: the prime counts, at the limit and at
+    # an off-lattice checkpoint (10^4 and 10^5 of 654,321, and 1234567 of
+    # 10^7, are not limit // i), read its primes
+    calls = []
+    sieve = survey_module.build_spf
+
+    def counted(limit):
+        calls.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(survey_module, "build_spf", counted)
+    for limit, checkpoints in ((10**7, None), (654_321, None), (10**7, [1234567])):
+        for workers in (1, 2):
+            calls.clear()
+            survey(limit, workers=workers, checkpoints=checkpoints)
+            assert calls == [isqrt(limit)], (limit, checkpoints, workers)
 
 
 def peak_rss_growth(call):
