@@ -34,6 +34,16 @@ Composites up to a checkpoint x number x - 1 - pi(x). Unit 0 counts the
 primes by Lucy's method over the table's primes, in O(limit^(3/4)) time and
 O(isqrt(limit)) memory: one count gives pi up to isqrt(limit) and at every
 limit // i, and any other checkpoint takes a count of its own.
+
+Exactness rests on one invariant: every int64 value the survey forms is at
+most `limit`, so a limit below 2**63 leaves no room for a wrap. A product
+is formed only where it is a number the survey counts or one of its
+factors: P*c and d*ell are at most some n <= limit; phi(n), lambda(n)
+and L | lambda(n) lie below n, and np.lcm divides by the gcd before it
+multiplies; Lucy's x // (i*p) has i*p <= x // p; and in _inverse, q*r1
+<= r0 <= m while q*s1 is at most the final |s|, which is at most m, with
+m = L < limit. The functions below cite this invariant where they form
+products.
 """
 
 from __future__ import annotations
@@ -58,7 +68,9 @@ from .workers import check_workers, fork_map
 
 DEFAULT_MEMORY_BUDGET = 2 << 30     # bytes
 DEFAULT_K_MAX = 8
-# cap on k_max: no n <= SURVEY_LIMIT has an index above 26, as phi(n) < 2**27
+# cap on k_max. Every prime of r divides n-1, so each step r -> r / gcd(r,
+# n-1) at least halves r: an index is at most log2 phi(n), which is below
+# limit.bit_length(), and so below 63 for any limit under 2**63
 K_MAX_LIMIT = 64
 SURVEY_LIMIT = 10**8                # desk-scale cap
 
@@ -95,10 +107,10 @@ def build_spf(limit: int) -> np.ndarray:
     """Smallest prime factor of n at [n] for n in [0, limit], sieved in one
     pass; an entry equals n iff n is prime, and those of 0 and 1 are
     themselves. Its base primes are SMALL_PRIMES, all below TRIAL_LIMIT, so
-    the table is exact only for limit < TRIAL_LIMIT**2 = 2**28, which it
-    refuses to pass whatever SURVEY_LIMIT is."""
-    if limit < 1 or limit > SURVEY_LIMIT or limit >= TRIAL_LIMIT**2:
-        raise ValueError(f"need 1 <= limit <= {min(SURVEY_LIMIT, TRIAL_LIMIT**2 - 1)}")
+    the table is exact only for limit < TRIAL_LIMIT**2 = 2**28, and any
+    other limit is refused before the table is allocated."""
+    if limit < 1 or limit >= TRIAL_LIMIT**2:
+        raise ValueError(f"need 1 <= limit < {TRIAL_LIMIT**2}")
     spf = np.zeros(limit + 1, dtype=np.uint32)
     spf[4::2] = 2
     for p in SMALL_PRIMES[1:bisect_right(SMALL_PRIMES, isqrt(limit))]:
@@ -224,7 +236,8 @@ def _tally(counts: np.ndarray, plan: _Plan, records: np.ndarray) -> None:
     int64 batches step by step: the number of steps r -> r / gcd(r, n-1)
     that take r = phi(n) to 1, each step lowering every v_q(r) by v_q(n-1),
     which is positive as rad(phi(n)) | n-1. Step k_max+1 stands for every
-    index above k_max.
+    index above k_max. Every value here is a divisor of phi(n), n itself or
+    a cell index, so the int64 invariant (module docstring) holds.
     """
     n, phi, lam, omega = records
     nm1 = n - 1
@@ -272,7 +285,7 @@ def _large_prime_part(plan: _Plan, cs: np.ndarray) -> Iterator[np.ndarray]:
         owner = np.arange(len(c))
         for ell in ells:
             # ell | c-1 and d <= max(top, c-1), so d*ell < max(c*(top+1), c*c)
-            # <= limit: no product here leaves int64
+            # <= limit, as the int64 invariant (module docstring) needs
             live = ell[owner] > 1
             grown, owners = [d], [owner]
             g, o = d[live] * ell[owner[live]], owner[live]
@@ -301,16 +314,18 @@ def _large_prime_part(plan: _Plan, cs: np.ndarray) -> Iterator[np.ndarray]:
             x, idx = x[~div], idx[~div]
         if prime.any():
             d, owner = d[prime], owner[prime]
-            # c*(d+1) <= limit as d <= top; phi(c)*d < c*d < limit; and
-            # np.lcm(lambda(c), d) divides by the gcd first, so no step of it
-            # exceeds lambda(c)*d <= phi(c)*d
+            # the int64 invariant: c*(d+1) <= limit as d <= top; phi(c)*d <
+            # c*d < limit; and np.lcm(lambda(c), d) divides by the gcd first,
+            # so no step of it exceeds lambda(c)*d <= phi(c)*d
             yield np.stack([c[owner] * (d + 1), phi[owner] * d, np.lcm(lam[owner], d),
                             omega[owner] + 1])
 
 
 def _inverse(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """a^-1 (mod m) for each coprime pair, by the extended Euclidean
-    algorithm on int64 arrays; a pair drops out when its remainder is 0."""
+    algorithm on int64 arrays; a pair drops out when its remainder is 0.
+    Under the int64 invariant (module docstring), q*r1 <= r0 <= m, and the
+    |s| grow to at most m, so q*s1 <= m too."""
     r0, r1 = m.copy(), a % m
     s0, s1 = np.zeros_like(r1), np.ones_like(r1)
     live = np.flatnonzero(r1)
@@ -341,12 +356,16 @@ def _walk(plan: _Plan, nodes: np.ndarray) -> Iterator[np.ndarray]:
     P, L = nodes[:2]
     c0 = _inverse(P, L)
     c0 += np.where(c0 == 1, L, 0)  # c = 1 was decided as the node was made
-    terms = np.maximum((limit // P - c0) // L + 1, 0)
+    # every leaf has limit // P >= 3 and 2 <= c0 <= L + 1, so the quotient is
+    # at least (2 - L) // L >= -1 and no count is negative
+    terms = (limit // P - c0) // L + 1
     live = np.flatnonzero(terms)  # most leaves hold no term
     nodes, c0, terms = nodes[:, live], c0[live], terms[live]
     for done in range(0, int(terms.sum()), _WALK_BATCH):
         node, k = _spread(terms, done, _WALK_BATCH)
-        rest = c0[node] + nodes[1, node] * k  # the term c, then what is left of it
+        # the term c, then what is left of it. The int64 invariant: P*c <=
+        # limit, and head's products of ell - 1 over primes of c stay below c
+        rest = c0[node] + nodes[1, node] * k
         nm1 = nodes[0, node] * rest - 1
         least = nodes[5, node]
         # divide the primes out of a c above root, least first, until the
@@ -393,7 +412,7 @@ def _children(limit: int, parents: np.ndarray, q: np.ndarray, r: np.ndarray
     keep = np.flatnonzero(L % q != 0)
     P, q = P[keep] * q[keep], q[keep]  # P*q <= limit by the choice of q
     # L | lambda(P), so lcm(L, r) | lambda(P*q) < P*q <= limit: np.lcm, which
-    # divides by the gcd first, stays in int64, as do phi and lambda
+    # divides by the gcd first, keeps the int64 invariant, as do phi and lambda
     nodes = np.stack([P, np.lcm(L[keep], r[keep]), phi[keep] * (q - 1),
                       np.lcm(lam[keep], q - 1), omega[keep] + 1, q])
     # c = 1: n = P*q. A child with limit // (P*q) < 3 holds no cofactor c > 1,
@@ -466,7 +485,8 @@ def _prime_counts(x: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
     for below, p in enumerate([2, *primes[primes <= r].tolist()]):
         # v = x // i for i <= x // p^2; v // p = x // (i*p) is large[i*p]
-        # while i*p <= r, else small[x // (i*p)]
+        # while i*p <= r, else small[x // (i*p)]; i*p <= x // p keeps the
+        # int64 invariant
         top = min(r, x // (p * p))
         mid = min(top, r // p)
         large[1:mid + 1] -= large[p:mid * p + 1:p] - below
@@ -508,7 +528,7 @@ def _unit_counts(plan: _Plan, unit: int, units: int) -> np.ndarray:
 def survey(limit: int, k_max: int = DEFAULT_K_MAX, *, workers: int = 1,
            checkpoints: list[int] | None = None,
            memory_budget: int | None = None) -> SurveyReport:
-    """Exact class counts for all integers up to `limit` (<= 10**8).
+    """Exact class counts for all integers up to `limit` (<= SURVEY_LIMIT).
 
     The table and enumeration state over [0, isqrt(limit)], in each of
     `workers` processes, are charged to `memory_budget` up front; the

@@ -1,13 +1,14 @@
 """Fixtures and brute-force oracles shared by the test modules."""
 
 import json
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
 
+import radimichael.survey as survey_module
 from radimichael.arith import Factorization, euler_phi, factorize
-from radimichael.classify import _check_composite
+from radimichael.classify import _check_composite, is_k_lehmer
 from radimichael.survey import report_write
 
 ORACLE_LIMIT = 10**6
@@ -143,6 +144,65 @@ def sieve_window_counts(lo: int, hi: int, k_max: int) -> list[int]:
                    *((idx <= k).sum() for k in range(1, k_max + 1)),
                    (om == 2).sum(), (om == 3).sum(), (om >= 4).sum()]
     return totals.tolist()
+
+
+def survey_records(limit: int) -> np.ndarray:
+    """Every record that survey(limit) tallies, with rows n, phi(n),
+    lambda(n) and omega(n), taken by wrapping survey._tally on one worker.
+    The caller raises SURVEY_LIMIT first for a limit above it."""
+    batches, tally = [], survey_module._tally
+
+    def kept(counts, plan, records):
+        batches.append(records)
+        tally(counts, plan, records)
+
+    survey_module._tally = kept
+    try:
+        survey_module.survey(limit)
+    finally:
+        survey_module._tally = tally
+    return np.hstack(batches)
+
+
+def a_free_part(x: int, a: int) -> tuple[int, int]:
+    """(v, u) with x = a^v * u and a not dividing u."""
+    v = 0
+    while x % a == 0:
+        x, v = x // a, v + 1
+    return v, x
+
+
+def tuple_members(records: np.ndarray, a: int, k: int) -> set[int]:
+    """The n among records (as survey_records gives them) of L_k \\ L_{k-1}
+    with k-1 primes, by the is_k_lehmer oracle on factorize(n), that have
+    the tuple shape for a prime base a: every prime p has p - 1 = a^v * u
+    with v >= 1, and the same a-free part u for every p."""
+    n, omega = records[0], records[3]
+    found = set()
+    for x in n[omega == k - 1].tolist():
+        f = factorize(x)
+        parts = [a_free_part(p - 1, a) for p, _ in f.factors]
+        if (all(v >= 1 for v, _ in parts) and len({u for _, u in parts}) == 1
+                and is_k_lehmer(x, k, f) and not is_k_lehmer(x, k - 1, f)):
+            found.add(x)
+    return found
+
+
+def theorem2_reach(a: int, k: int, limit: int) -> tuple[int, int]:
+    """(s, n_max) for which stream_theorem2(a, k, s, range(1, n_max + 1))
+    reaches every product N <= limit of k-1 primes a^l * u + 1, l >= 1, at
+    n = u. The other k-2 primes multiply to at least D = prod(a^i + 1) over
+    i < k-1, so the largest has a^l < limit / D; and the k-1 least exponents
+    give N >= prod(a^i * u + 1) over i <= k-1, which bounds u."""
+    m = k - 1
+    bound = prod(a**i + 1 for i in range(1, m))
+    s = 1
+    while a**(s + 1) * bound < limit:
+        s += 1
+    n_max = 1
+    while prod(a**i * (n_max + 1) + 1 for i in range(1, m + 1)) <= limit:
+        n_max += 1
+    return s, n_max
 
 
 def assert_json_lines_equal_csv(report) -> None:

@@ -14,12 +14,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_json_lines_equal_csv, sieve_window_counts
+from conftest import (
+    assert_json_lines_equal_csv,
+    sieve_window_counts,
+    survey_records,
+    theorem2_reach,
+    tuple_members,
+)
 import radimichael
 import radimichael.survey as survey_module
 import radimichael.workers as workers_module
-from radimichael.arith import TRIAL_LIMIT, carmichael_lambda, euler_phi, factorize
+from radimichael.arith import (
+    SMALL_PRIMES,
+    TRIAL_LIMIT,
+    carmichael_lambda,
+    euler_phi,
+    factorize,
+)
 from radimichael.classify import classify, is_carmichael, is_k_lehmer
+from radimichael.construct import stream_theorem2
 from radimichael.survey import (
     DEFAULT_K_MAX,
     K_MAX_LIMIT,
@@ -75,25 +88,27 @@ def test_sieve_spf_matches_full_table_across_bases():
         assert (build_spf(limit) == full[:limit + 1]).all(), limit
 
 
-def test_sieve_budget_enforced():
-    with pytest.raises(ValueError):
-        build_spf(0)
-    with pytest.raises(ValueError):
-        build_spf(10**8 + 1)
-
-
 def test_sieve_refuses_a_limit_past_its_base_primes(monkeypatch):
     # SMALL_PRIMES stop below TRIAL_LIMIT, so a table at TRIAL_LIMIT**2
-    # would call TRIAL_LIMIT**2 prime; raising SURVEY_LIMIT must not admit
-    # it, and the refusal must come before its 1 GiB is allocated
-    monkeypatch.setattr(survey_module, "SURVEY_LIMIT", 10**12)
-
+    # would call TRIAL_LIMIT**2 prime. The sieve owns that bound, whatever
+    # the survey cap, and refuses before its 1 GiB is allocated
     def allocating(shape, *args, **kwargs):
         raise AssertionError(f"a table of {shape} entries was about to be built")
 
     monkeypatch.setattr(survey_module.np, "zeros", allocating)
-    with pytest.raises(ValueError):
-        build_spf(TRIAL_LIMIT**2)
+    for limit in (-1, 0, TRIAL_LIMIT**2, 10**12):
+        with pytest.raises(ValueError, match=f"need 1 <= limit < {TRIAL_LIMIT**2}"):
+            build_spf(limit)
+
+
+def test_survey_cap_lies_inside_the_sieve_and_int64_bounds():
+    # survey(limit) sieves [0, isqrt(limit)], which build_spf admits below
+    # TRIAL_LIMIT**2; every int64 value it forms is at most limit (the
+    # module docstring's invariant); and every index is below
+    # limit.bit_length(), so K_MAX_LIMIT separates them all
+    assert isqrt(SURVEY_LIMIT) < TRIAL_LIMIT**2
+    assert SURVEY_LIMIT < 2**63
+    assert SURVEY_LIMIT.bit_length() <= K_MAX_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +286,8 @@ def test_survey_custom_checkpoints_and_validation():
         survey(100, memory_budget=-1)
     with pytest.raises(ValueError):
         survey(0)
-    with pytest.raises(ValueError):
-        survey(10**8 + 1)
+    with pytest.raises(ValueError, match="capped"):
+        survey(SURVEY_LIMIT + 1)
     with pytest.raises(ValueError):
         survey(100, k_max=0)
 
@@ -411,8 +426,31 @@ def test_every_node_of_the_search_has_its_lcm_dividing_lambda_below_the_limit(mo
         patch.setattr(survey_module, "_BATCH", 7)
         patch.setattr(survey_module, "_WALK_BATCH", 7)
         survey(10**7)
-    survey(SURVEY_LIMIT)
+    survey(10**8)
     assert min(seen) > 0
+
+
+def test_survey_and_theorem2_search_find_the_same_tuple_members_up_to_1e8():
+    # two unrelated routes to the members of L_k \ L_{k-1} with k-1 primes
+    # a^l * u + 1: the survey's enumeration, its index taken by the oracle,
+    # and theorem2's scan and index filter. Equal sets mean the survey
+    # misses no certified N <= X and the search misses no tuple-shaped
+    # member; the sizes and least members keep an empty match on both
+    # sides from passing
+    X = 10**8
+    records = survey_records(X)
+    seen = {}
+    for k in (3, 4, 5):
+        for a in (2, 3):
+            s, n_max = theorem2_reach(a, k, X)
+            certified = {c.N for c in stream_theorem2(a, k, s, range(1, n_max + 1))
+                         if c.N <= X}
+            members = tuple_members(records, a, k)
+            assert members == certified, (a, k, sorted(members ^ certified)[:5])
+            seen[a, k] = len(members), min(members, default=None)
+    # 14,396,449 = 97 * 193 * 769, with p - 1 = 2^5 * 3, 2^6 * 3 and 2^8 * 3
+    assert seen == {(2, 3): (274, 15), (3, 3): (144, 133), (2, 4): (1, 14_396_449),
+                    (3, 4): (0, None), (2, 5): (0, None), (3, 5): (0, None)}
 
 
 def test_plan_tables_at_1e8_match_the_oracle_for_every_m_up_to_the_root(oracle_factorize):
@@ -543,7 +581,7 @@ def peak_rss_growth(call):
     return int(proc.stdout)
 
 
-@pytest.mark.parametrize("limit", [2 * 10**6, SURVEY_LIMIT])
+@pytest.mark.parametrize("limit", [2 * 10**6, 10**8])
 def test_survey_peak_memory_within_budget_model(limit):
     growth = peak_rss_growth(f"survey({limit})")
     charge = _memory_charge(limit)
@@ -553,7 +591,8 @@ def test_survey_peak_memory_within_budget_model(limit):
 def test_first_factorize_builds_no_table_and_small_primes_cover_the_sieve():
     # the primes factorize() trial-divides by are sieved at import, so a
     # first call allocates only its result; they also hold every base prime
-    # of the spf sieve
+    # of the spf sieve at its reach, TRIAL_LIMIT**2 - 1: no prime lies
+    # between the last of them and isqrt of the reach
     code = textwrap.dedent("""
         import tracemalloc
         from radimichael.arith import factorize
@@ -567,7 +606,8 @@ def test_first_factorize_builds_no_table_and_small_primes_cover_the_sieve():
                           env={**os.environ, "PYTHONPATH": src})
     peak = int(proc.stdout)
     assert peak < 64 * 1024, f"first factorize call peaked at {peak} bytes"
-    assert isqrt(SURVEY_LIMIT) < TRIAL_LIMIT
+    reach = TRIAL_LIMIT**2 - 1
+    assert all(smallest_factor(m) < m for m in range(SMALL_PRIMES[-1] + 1, isqrt(reach) + 1))
 
 
 # ---------------------------------------------------------------------------
