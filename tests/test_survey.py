@@ -88,6 +88,28 @@ def test_sieve_spf_matches_full_table_across_bases():
         assert (build_spf(limit) == full[:limit + 1]).all(), limit
 
 
+def test_sieve_budget_enforced(monkeypatch):
+    # the sieve's budget is exactly [1, TRIAL_LIMIT**2): both ends are
+    # refused just outside and admitted just inside. The largest admitted
+    # limit is only followed as far as its allocation, of limit + 1 entries
+    with pytest.raises(ValueError):
+        build_spf(0)
+    assert build_spf(1).tolist() == [0, 1]
+    with pytest.raises(ValueError):
+        build_spf(TRIAL_LIMIT**2)
+
+    class Allocated(Exception):
+        pass
+
+    def allocating(shape, *args, **kwargs):
+        raise Allocated(shape)
+
+    monkeypatch.setattr(survey_module.np, "zeros", allocating)
+    with pytest.raises(Allocated) as admitted:
+        build_spf(TRIAL_LIMIT**2 - 1)
+    assert admitted.value.args == (TRIAL_LIMIT**2,)
+
+
 def test_sieve_refuses_a_limit_past_its_base_primes(monkeypatch):
     # SMALL_PRIMES stop below TRIAL_LIMIT, so a table at TRIAL_LIMIT**2
     # would call TRIAL_LIMIT**2 prime. The sieve owns that bound, whatever
